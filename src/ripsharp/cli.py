@@ -277,8 +277,8 @@ def _as_int(value, name: str) -> int:
 
 
 def _require_converged(status: str, what: str) -> None:
-    if status == lmi.STATUS_MAX_ITERATIONS:
-        raise SolverError(f"interior-point solve did not converge on {what}")
+    if status in (lmi.STATUS_MAX_ITERATIONS, lmi.STATUS_STEP_FAILURE):
+        raise SolverError(f"interior-point solve did not converge on {what} ({status})")
 
 
 def _cmd_delta(args) -> int:

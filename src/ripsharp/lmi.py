@@ -39,11 +39,13 @@ from .linalg import (
 from .objective import MeasurementOperator, jacobian_mat
 from .sdp import ConeBlock, ConeProgram, SolverOptions
 from .sdp import OPTIMAL as _CONE_OPTIMAL
+from .sdp import STEP_FAILURE as _CONE_STEP_FAILURE
 from .sdp import solve as _solve_cone
 
 STATUS_OPTIMAL = "optimal"
 STATUS_NOT_BELOW_ONE = "infeasible-at-delta-below-one"
 STATUS_MAX_ITERATIONS = "max-iterations"
+STATUS_STEP_FAILURE = "step-failure"
 
 # Spectral cap on the gram variable of span-restricted programs.  Any
 # optimal gram matrix satisfies ||H||_2 <= 1 + delta <= 2, so the cap
@@ -310,6 +312,8 @@ def solve_lmi(
     )
     if res.status == _CONE_OPTIMAL:
         status = STATUS_NOT_BELOW_ONE if delta_raw >= 1.0 - 1e-6 else STATUS_OPTIMAL
+    elif res.status == _CONE_STEP_FAILURE:
+        status = STATUS_STEP_FAILURE
     else:
         status = STATUS_MAX_ITERATIONS
     return SdpSolution(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import SolverError
 from .linalg import svec, sym
@@ -45,8 +45,13 @@ class ConeBlock:
     def size(self) -> int:
         return self.f0.shape[0]
 
+    @property
+    def flat(self) -> np.ndarray:
+        """The coefficients as a (p, k*k) view, one flattened matrix per row."""
+        return self.coeffs.reshape(self.coeffs.shape[0], -1)
+
     def value(self, y: np.ndarray) -> np.ndarray:
-        return self.f0 + np.einsum("i,ijk->jk", y, self.coeffs)
+        return self.f0 + (y @ self.flat).reshape(self.f0.shape)
 
 
 @dataclass
@@ -119,21 +124,20 @@ class SolutionReport:
 class _BlockState:
     """Per-block NT scaling data for one iteration."""
 
-    __slots__ = ("lam", "g", "ginv", "t_svec", "rp_hat", "s_chol", "z_chol")
+    __slots__ = ("lam", "g", "ginv", "t_svec", "rp_hat", "s_inv", "z_inv")
 
     def __init__(self, blk: ConeBlock, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
         ls = np.linalg.cholesky(s)
-        lz = np.linalg.cholesky(z)
         # NT scaling point W = G G^T with G^T Z G = G^-1 S G^-T = diag(lam).
         m = ls.T @ z @ ls
         evals, q = np.linalg.eigh(sym(m))
         evals = np.maximum(evals, np.finfo(float).tiny)
         self.lam = np.sqrt(evals)
-        linv = sla.solve_triangular(ls, np.eye(s.shape[0]), lower=True)
+        # Inverse Cholesky factors of S and Z, for the step lengths.
+        self.s_inv = _tri_inverse(ls)
+        self.z_inv = _tri_inverse(np.linalg.cholesky(z))
         self.g = ls @ (q * evals[None, :] ** -0.25)
-        self.ginv = (evals[:, None] ** 0.25) * (q.T @ linv)
-        self.s_chol = ls
-        self.z_chol = lz
+        self.ginv = (evals[:, None] ** 0.25) * (q.T @ self.s_inv)
         t = self.ginv @ blk.coeffs @ self.ginv.T
         self.t_svec = svec(0.5 * (t + t.transpose(0, 2, 1)))
         self.rp_hat = self.ginv @ rp @ self.ginv.T
@@ -141,6 +145,22 @@ class _BlockState:
     def lyapunov(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (X D + D X)/2 = rhs for symmetric X with D = diag(lam)."""
         return 2.0 * rhs / (self.lam[:, None] + self.lam[None, :])
+
+
+def _residuals(prog, y, s_list, z_list, f_scale, c_scale):
+    """Residuals rp_k and rd, gap, scaled infeasibilities and objectives."""
+    rp_list = [sym(blk.value(y)) - s for blk, s in zip(prog.blocks, s_list)]
+    rd = prog.c - _adjoint(prog, z_list)
+    # Residuals are scaled by the iterate norms: near-degenerate optima
+    # have unbounded multipliers, and the absolute residual then floors
+    # at the rounding level of the matching products.
+    s_scale = max(float(np.linalg.norm(s)) for s in s_list)
+    z_scale = max(float(np.linalg.norm(z)) for z in z_list)
+    gap = sum(float(np.vdot(s, z)) for s, z in zip(s_list, z_list))
+    pinf = max(float(np.linalg.norm(rp)) for rp in rp_list) / (f_scale + s_scale)
+    dinf = float(np.abs(rd).max()) / (c_scale + z_scale)
+    dobj = -sum(float(np.vdot(blk.f0, z)) for blk, z in zip(prog.blocks, z_list))
+    return rp_list, rd, gap, pinf, dinf, float(prog.c @ y), dobj
 
 
 def solve(
@@ -153,6 +173,8 @@ def solve(
 
     Returns the best iterate with status ``optimal``, ``max-iterations``
     or ``step-failure``; the duals are the per-block PSD multipliers.
+    When the solver cannot continue, the latest iterate at the rounding
+    floor (see below) is returned as ``optimal``.
     """
     opts = opts or SolverOptions()
     p = prog.num_vars
@@ -180,56 +202,47 @@ def solve(
     status = MAX_ITERATIONS
     small_steps = 0
     it = 0
+    floor = None
 
     for it in range(1, opts.max_iters + 1):
-        rp_list = [sym(blk.value(y)) - s for blk, s in zip(prog.blocks, s_list)]
-        rd = prog.c - _adjoint(prog, z_list)
-        gap = sum(float(np.tensordot(s, z)) for s, z in zip(s_list, z_list))
-        mu = gap / total_dim
-        # Residuals are scaled by the iterate norms: near-degenerate optima
-        # have unbounded multipliers, and the absolute residual then floors
-        # at the rounding level of the matching products.
-        s_scale = max(float(np.linalg.norm(s)) for s in s_list)
-        z_scale = max(float(np.linalg.norm(z)) for z in z_list)
-        pinf = max(float(np.linalg.norm(rp)) for rp in rp_list) / (f_scale + s_scale)
-        dinf = float(np.abs(rd).max()) / (c_scale + z_scale)
-        pobj = float(prog.c @ y)
-        dobj = -sum(
-            float(np.tensordot(blk.f0, z)) for blk, z in zip(prog.blocks, z_list)
+        rp_list, rd, gap, pinf, dinf, pobj, dobj = _residuals(
+            prog, y, s_list, z_list, f_scale, c_scale
         )
+        mu = gap / total_dim
         gap_scale = max(1.0, abs(pobj), abs(dobj))
         if gap <= opts.gap_tol * gap_scale and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
             status = OPTIMAL
             break
         # At degenerate optima the dual residual floors at the rounding
-        # level of the Newton system, a few orders above the target; the
+        # level of the Newton system, a few orders above the target; an
         # iterate is still accepted if complementarity and primal
         # feasibility made it, should the solver be unable to continue.
-        at_floor = (
+        if (
             gap <= opts.stall_gap_tol * gap_scale
             and pinf <= opts.feas_tol
             and dinf <= opts.stall_dinf_tol
-        )
+        ):
+            floor = (y, s_list, z_list)
 
         try:
-            states = [
-                _BlockState(blk, s, z, rp)
-                for blk, s, z, rp in zip(prog.blocks, s_list, z_list, rp_list)
-            ]
+            states = [_BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
             schur = sum(st.t_svec @ st.t_svec.T for st in states)
             schur_chol = _robust_cholesky(schur)
         except np.linalg.LinAlgError:
-            status = OPTIMAL if at_floor else STEP_FAILURE
+            status = STEP_FAILURE
             break
 
+        def newton_step(rc_hats, shrink):
+            d = _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol)
+            ap = _max_step([st.s_inv for st in states], d[1])
+            ad = _max_step([st.z_inv for st in states], d[2])
+            return d, min(1.0, shrink * ap), min(1.0, shrink * ad)
+
         # Predictor: aim at mu = 0.
-        rc_hats = [np.diag(-(st.lam**2)) for st in states]
-        dy_aff, ds_aff, dz_aff = _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol)
-        ap_aff = min(_max_step(st.s_chol, ds) for st, ds in zip(states, ds_aff))
-        ad_aff = min(_max_step(st.z_chol, dz) for st, dz in zip(states, dz_aff))
-        ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
+        centering = [np.diag(-(st.lam**2)) for st in states]
+        (_, ds_aff, dz_aff), ap_aff, ad_aff = newton_step(centering, 1.0)
         gap_aff = sum(
-            float(np.tensordot(s + ap_aff * ds, z + ad_aff * dz))
+            float(np.vdot(s + ap_aff * ds, z + ad_aff * dz))
             for s, ds, z, dz in zip(s_list, ds_aff, z_list, dz_aff)
         )
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-10, 1.0))
@@ -243,31 +256,17 @@ def solve(
             rc = sigma * mu * np.eye(st.lam.size) - np.diag(st.lam**2)
             rc -= 0.5 * (cross + cross.T)
             rc_hats.append(rc)
-        dy, ds_list, dz_list = _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol)
-
-        ap = min(_max_step(st.s_chol, ds) for st, ds in zip(states, ds_list))
-        ad = min(_max_step(st.z_chol, dz) for st, dz in zip(states, dz_list))
-        ap = min(1.0, STEP_SHRINK * ap)
-        ad = min(1.0, STEP_SHRINK * ad)
+        (dy, ds_list, dz_list), ap, ad = newton_step(rc_hats, STEP_SHRINK)
         if min(ap, ad) < 0.05:
             # Corrector got blocked near the boundary; retake a plain
             # strongly-centered step, which always makes progress.
             sigma = max(sigma, 0.8)
-            rc_hats = [
-                sigma * mu * np.eye(st.lam.size) - np.diag(st.lam**2)
-                for st in states
-            ]
-            dy, ds_list, dz_list = _direction(
-                prog, states, rc_hats, rp_list, rd, schur, schur_chol
-            )
-            ap = min(_max_step(st.s_chol, ds) for st, ds in zip(states, ds_list))
-            ad = min(_max_step(st.z_chol, dz) for st, dz in zip(states, dz_list))
-            ap = min(1.0, STEP_SHRINK * ap)
-            ad = min(1.0, STEP_SHRINK * ad)
+            rc_hats = [sigma * mu * np.eye(st.lam.size) - np.diag(st.lam**2) for st in states]
+            (dy, ds_list, dz_list), ap, ad = newton_step(rc_hats, STEP_SHRINK)
         if min(ap, ad) < 1e-8:
             small_steps += 1
             if small_steps >= 3:
-                status = OPTIMAL if at_floor else STEP_FAILURE
+                status = STEP_FAILURE
                 break
         else:
             small_steps = 0
@@ -279,21 +278,20 @@ def solve(
         if log_sink is not None:
             log_sink.write(f"iter {it:3d}  gap {gap:.6e}  alpha_p {ap:.3f}  alpha_d {ad:.3f}\n")
 
-    gap = sum(float(np.tensordot(s, z)) for s, z in zip(s_list, z_list))
-    rp_list = [sym(blk.value(y)) - s for blk, s in zip(prog.blocks, s_list)]
-    rd = prog.c - _adjoint(prog, z_list)
-    s_scale = max(float(np.linalg.norm(s)) for s in s_list)
-    z_scale = max(float(np.linalg.norm(z)) for z in z_list)
+    if status == STEP_FAILURE and floor is not None:
+        # Iterates past the floor only gather rounding; return the last one at it.
+        (y, s_list, z_list), status = floor, OPTIMAL
+    _, _, gap, pinf, dinf, pobj, dobj = _residuals(prog, y, s_list, z_list, f_scale, c_scale)
     return SolveResult(
         y=y,
         duals=[z.copy() for z in z_list],
         gap=gap,
         status=status,
-        pobj=float(prog.c @ y),
-        dobj=-sum(float(np.tensordot(b.f0, z)) for b, z in zip(prog.blocks, z_list)),
+        pobj=pobj,
+        dobj=dobj,
         iterations=it,
-        pinf=max(float(np.linalg.norm(rp)) for rp in rp_list) / (f_scale + s_scale),
-        dinf=float(np.abs(rd).max()) / (c_scale + z_scale),
+        pinf=pinf,
+        dinf=dinf,
         history=history,
     )
 
@@ -306,28 +304,19 @@ def check_solution(
     duals = [sym(np.asarray(z, dtype=float)) for z in duals]
     if len(duals) != len(prog.blocks):
         raise ValueError("one dual matrix per block required")
-    primal_eigs = np.array(
-        [float(np.linalg.eigvalsh(sym(blk.value(y)))[0]) for blk in prog.blocks]
-    )
-    dual_eigs = np.array([float(np.linalg.eigvalsh(z)[0]) for z in duals])
-    gap = sum(
-        float(np.tensordot(sym(blk.value(y)), z)) for blk, z in zip(prog.blocks, duals)
-    )
+    values = [sym(blk.value(y)) for blk in prog.blocks]
     return SolutionReport(
         pobj=float(prog.c @ y),
-        dobj=-sum(float(np.tensordot(b.f0, z)) for b, z in zip(prog.blocks, duals)),
-        gap=gap,
-        primal_min_eigs=primal_eigs,
-        dual_min_eigs=dual_eigs,
+        dobj=-sum(float(np.vdot(b.f0, z)) for b, z in zip(prog.blocks, duals)),
+        gap=sum(float(np.vdot(v, z)) for v, z in zip(values, duals)),
+        primal_min_eigs=np.array([float(np.linalg.eigvalsh(v)[0]) for v in values]),
+        dual_min_eigs=np.array([float(np.linalg.eigvalsh(z)[0]) for z in duals]),
         dual_residual=prog.c - _adjoint(prog, duals),
     )
 
 
 def _adjoint(prog: ConeProgram, z_list: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros(prog.num_vars)
-    for blk, z in zip(prog.blocks, z_list):
-        out += np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
-    return out
+    return sum(blk.flat @ z.reshape(-1) for blk, z in zip(prog.blocks, z_list))
 
 
 def _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol):
@@ -335,12 +324,12 @@ def _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol):
     rhs = -rd.copy()
     for st, rc in zip(states, rc_hats):
         rhs += st.t_svec @ svec(st.lyapunov(rc) - st.rp_hat)
-    dy = sla.cho_solve(schur_chol, rhs)
+    dy = lapack.dpotrs(schur_chol, rhs, lower=1)[0]
     # One round of iterative refinement keeps late iterations accurate.
-    dy += sla.cho_solve(schur_chol, rhs - schur @ dy)
+    dy += lapack.dpotrs(schur_chol, rhs - schur @ dy, lower=1)[0]
     ds_list, dz_list = [], []
     for blk, st, rc, rp in zip(prog.blocks, states, rc_hats, rp_list):
-        ds = np.einsum("i,ijk->jk", dy, blk.coeffs) + rp
+        ds = (dy @ blk.flat).reshape(rp.shape) + rp
         ds_hat = st.ginv @ ds @ st.ginv.T
         dz_hat = st.lyapunov(rc) - 0.5 * (ds_hat + ds_hat.T)
         dz = st.ginv.T @ dz_hat @ st.ginv
@@ -349,22 +338,33 @@ def _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol):
     return dy, ds_list, dz_list
 
 
-def _max_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with  M + t*delta >= 0  given M = L L^T."""
-    w = sla.solve_triangular(chol_lower, delta, lower=True)
-    w = sla.solve_triangular(chol_lower, w.T, lower=True)
-    lam_min = float(np.linalg.eigvalsh(sym(w))[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+def _max_step(inv_factors: Sequence[np.ndarray], deltas: Sequence[np.ndarray]) -> float:
+    """Largest t with  M_k + t*delta_k >= 0  on every block k.
+
+    Takes the inverse Cholesky factors L_k^-1 of M_k = L_k L_k^T; the
+    bound is the minimum over blocks of -1/lambda_min(L^-1 delta L^-T),
+    or inf if no eigenvalue is negative.
+    """
+    lam_min = min(
+        float(np.linalg.eigvalsh(sym(f @ d @ f.T))[0]) for f, d in zip(inv_factors, deltas)
+    )
+    return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
 
-def _robust_cholesky(m: np.ndarray):
+def _tri_inverse(lower: np.ndarray) -> np.ndarray:
+    inv, info = lapack.dtrtrs(lower, np.eye(lower.shape[0]), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Cholesky factor")
+    return inv
+
+
+def _robust_cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of m, with growing diagonal jitter if needed."""
     jitter = 0.0
     base = max(float(np.trace(m)) / max(m.shape[0], 1), 1.0)
     for _ in range(4):
-        try:
-            return sla.cho_factor(m + jitter * np.eye(m.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-14 * base)
+        chol, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
+        if info == 0:
+            return chol
+        jitter = max(10.0 * jitter, 1e-14 * base)
     raise np.linalg.LinAlgError("Schur complement not positive definite")

@@ -1,10 +1,11 @@
 """Tests for the command-line harness."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ripsharp import cli
+from ripsharp import cli, sdp
 from ripsharp.errors import SolverError
 
 
@@ -178,6 +179,22 @@ def test_solver_failure_exit_two(monkeypatch):
 
     monkeypatch.setattr(cli.lmi, "delta_exact", stalled)
     assert cli.main(["delta", "--rho", "0.5", "--phi", "90"]) == 2
+
+
+def test_step_failure_reported_and_exits_two(monkeypatch, capsys):
+    # the solve stops on a step failure; lmi reports it as such and the
+    # command line treats it as a solver failure naming the status
+    real = cli.lmi._solve_cone
+
+    def failing(prog, opts=None, y0=None):
+        return dataclasses.replace(real(prog, opts=opts, y0=y0), status=sdp.STEP_FAILURE)
+
+    monkeypatch.setattr(cli.lmi, "_solve_cone", failing)
+    x, z = np.array([0.0, 1 / np.sqrt(2)]), np.array([1.0, 0.0])
+    prob = cli.lmi.build_upper_lmi(cli.lmi.reduce(x, z))
+    assert cli.lmi.solve_lmi(prob).status == cli.lmi.STATUS_STEP_FAILURE
+    assert cli.main(["delta", "--rho", "0.5", "--phi", "90"]) == 2
+    assert "step-failure" in capsys.readouterr().err
 
 
 def test_ecdf_validation():

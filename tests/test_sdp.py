@@ -1,7 +1,9 @@
 """Tests for the dense block interior-point solver."""
 import numpy as np
+import scipy.linalg as sla
 from numpy.random import default_rng
 
+from ripsharp import sdp
 from ripsharp.sdp import (
     MAX_ITERATIONS,
     OPTIMAL,
@@ -139,3 +141,89 @@ def test_result_carries_history():
     assert len(res.history) >= 1
     gaps = [h[1] for h in res.history]
     assert gaps[-1] <= 1e-6 * max(1.0, abs(res.pobj))
+
+
+def random_pd(rng, size, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    m = (q * np.logspace(0, -np.log10(cond), size)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def random_sym(rng, size):
+    d = rng.standard_normal((size, size))
+    return 0.5 * (d + d.T)
+
+
+def inverse_factor(m):
+    return sdp._tri_inverse(np.linalg.cholesky(m))
+
+
+def reference_step(m, d):
+    # generalized eigenvalues of (d, m): m + t d >= 0 iff 1 + t lam >= 0
+    lam_min = sla.eigh(d, m, eigvals_only=True)[0]
+    return np.inf if lam_min >= 0.0 else -1.0 / lam_min
+
+
+def test_max_step_matches_generalized_eigenvalues():
+    rng = default_rng(11)
+    for cond in (1.0, 1e2, 1e4, 1e6, 1e8):
+        # rounding in the inverse factor grows with the condition number
+        rtol = 1e-14 * cond
+        for _ in range(20):
+            size = int(rng.integers(2, 9))
+            m, d = random_pd(rng, size, cond), random_sym(rng, size)
+            ref = reference_step(m, d)
+            step = sdp._max_step([inverse_factor(m)], [d])
+            if np.isinf(ref):
+                assert np.isinf(step)
+            else:
+                assert abs(step - ref) <= rtol * ref, (cond, step, ref)
+
+
+def test_max_step_unbounded_for_psd_direction():
+    rng = default_rng(12)
+    a = rng.standard_normal((5, 3))
+    for cond in (1.0, 1e4, 1e8):
+        m = random_pd(rng, 5, cond)
+        for d in (np.zeros((5, 5)), np.eye(5), a @ a.T + 1e-3 * np.eye(5)):
+            assert sdp._max_step([inverse_factor(m)], [d]) == np.inf
+    # singular PSD directions: zero eigenvalues computed to rounding
+    assert sdp._max_step([np.eye(5)], [a @ a.T]) == np.inf
+
+
+def test_max_step_is_minimum_over_blocks():
+    rng = default_rng(13)
+    ms = [random_pd(rng, size, 1e3) for size in (2, 4, 4)]
+    ds = [random_sym(rng, m.shape[0]) - 2.0 * np.eye(m.shape[0]) for m in ms]
+    refs = [reference_step(m, d) for m, d in zip(ms, ds)]
+    step = sdp._max_step([inverse_factor(m) for m in ms], ds)
+    assert abs(step - min(refs)) <= 1e-10 * min(refs)
+    # a PSD direction on one block does not bound the step
+    ds[0] = np.eye(2)
+    step = sdp._max_step([inverse_factor(m) for m in ms], ds)
+    assert abs(step - min(refs[1:])) <= 1e-10 * min(refs[1:])
+
+
+def test_contractions_match_reference_forms():
+    # the reshaped matrix products sum in another order than the einsum
+    # and tensordot forms they replace; agreement is to rounding
+    rtol = 1e-12
+    rng = default_rng(14)
+    for seed in range(10):
+        prog = random_cone_program(seed)
+        y = rng.standard_normal(prog.num_vars)
+        zs = [random_sym(rng, blk.size) for blk in prog.blocks]
+        for blk in prog.blocks:
+            ref = blk.f0 + np.einsum("i,ijk->jk", y, blk.coeffs)
+            assert np.linalg.norm(blk.value(y) - ref) <= rtol * np.linalg.norm(ref)
+        ref = sum(
+            np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
+            for blk, z in zip(prog.blocks, zs)
+        )
+        adj = sdp._adjoint(prog, zs)
+        assert np.linalg.norm(adj - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_coefficient_view_shares_memory():
+    blk = random_cone_program(0).blocks[0]
+    assert np.shares_memory(blk.flat, blk.coeffs)
