@@ -8,7 +8,6 @@ routines are pure functions of their inputs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -16,13 +15,6 @@ from .errors import NotPsdError
 
 # Relative threshold for every numerical rank decision in the package.
 RANK_RTOL = 1e-9
-
-
-class SymEig(NamedTuple):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -38,11 +30,6 @@ def mat(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a square matrix."""
     return 0.5 * (a + a.T)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, column-major convention as in :func:`vec`."""
-    return np.kron(a, b)
 
 
 def orth_basis(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -72,21 +59,6 @@ def orth_complement(p: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return u[:, rank:]
 
 
-def sym_eig(s: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix."""
-    values, vectors = np.linalg.eigh(s)
-    return SymEig(values, vectors)
-
-
-def psd_split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a symmetric matrix into its PSD parts: ``s = pos - neg`` with
-    ``pos, neg >= 0`` and ``<pos, neg> = 0``."""
-    values, vectors = sym_eig(s)
-    pos = (vectors * np.maximum(values, 0.0)) @ vectors.T
-    neg = (vectors * np.maximum(-values, 0.0)) @ vectors.T
-    return sym(pos), sym(neg)
-
-
 def factor_gram(h: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Factor a PSD matrix as ``h = a.T @ a``.
 
@@ -100,7 +72,7 @@ def factor_gram(h: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
         return np.linalg.cholesky(h).T
     except np.linalg.LinAlgError:
         pass
-    values, vectors = sym_eig(h)
+    values, vectors = np.linalg.eigh(h)
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     if values.size and values[0] < -rtol * max(scale, 1.0):
         raise NotPsdError(

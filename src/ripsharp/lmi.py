@@ -9,6 +9,12 @@ operators is a semidefinite program in ``(delta, H)``; projecting onto
 the joint column span of ``x`` and ``z`` shrinks the variable to
 ``d^2 x d^2`` with ``d <= 2r``, and the optimum is unchanged.
 
+The stationarity condition ``J^T H e = 0`` is a set of linear rows on
+``svec(H)``.  Each program is built directly in coordinates of their
+null space, ``svec(H) = N w`` for an orthonormal basis ``N``: every
+iterate is exactly stationary, the cone variables are ``y = (delta, w)``
+and every PSD block is affine in ``y``.
+
 A companion program keeps ``H`` in the ambient dimension but imposes the
 isometry bounds only on a chosen span, which can only lower the optimum;
 for the joint span of ``x`` and ``z`` the two optima coincide, which is
@@ -17,26 +23,14 @@ what makes the reduced program exact rather than merely an upper bound.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import DegenerateInputError, NotSpuriousError, SolverError
-from .linalg import (
-    factor_gram,
-    kron,
-    mat,
-    orth_basis,
-    orth_complement,
-    smat,
-    svec,
-    svec_dim,
-    sym,
-    sym_eig,
-    vec,
-)
-from .objective import MeasurementOperator, jacobian_mat
+from .errors import NotSpuriousError, SolverError
+from .linalg import factor_gram, orth_basis, orth_complement, smat, svec, sym, vec
+from .objective import MeasurementOperator, curvature_form, jacobian_mat
 from .sdp import ConeBlock, ConeProgram, SolverOptions
 from .sdp import OPTIMAL as _CONE_OPTIMAL
 from .sdp import STEP_FAILURE as _CONE_STEP_FAILURE
@@ -55,6 +49,9 @@ NORM_CAP_RADIUS = 8.0
 
 # Threshold for dropping linearly dependent stationarity rows.
 EQ_RANK_TOL = 1e-10
+
+# Starting delta of every solve, close to its largest useful value.
+INITIAL_DELTA = 0.999
 
 
 @dataclass
@@ -91,54 +88,29 @@ class ReducedPair:
 
 
 @dataclass
-class LmiBlock:
-    """One affine-in-(delta, svec(H)) constraint block required to be PSD."""
-
-    name: str
-    base: np.ndarray
-    delta_coeff: np.ndarray
-    h_tensor: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.base = sym(np.asarray(self.base, dtype=float))
-        self.delta_coeff = sym(np.asarray(self.delta_coeff, dtype=float))
-        t = np.asarray(self.h_tensor, dtype=float)
-        self.h_tensor = 0.5 * (t + t.transpose(0, 2, 1))
-
-    @property
-    def size(self) -> int:
-        return self.base.shape[0]
-
-    def value(self, delta: float, h: np.ndarray) -> np.ndarray:
-        """Evaluate the block at a candidate point (delta, H)."""
-        return (
-            self.base
-            + delta * self.delta_coeff
-            + np.tensordot(svec(sym(h)), self.h_tensor, axes=1)
-        )
-
-
-@dataclass
 class LmiProblem:
-    """Minimize delta subject to stationarity rows and PSD blocks.
+    """Minimize delta over the stationary gram matrices, as one cone program.
 
-    The symmetric variable ``H`` has side ``dim_h``; ``eq_rows`` act on
-    ``svec(H)`` and have full row rank after redundancy elimination.
-    ``jac`` and ``evec`` are the lifted derivative map and residual the
-    blocks were built from, kept so multipliers can be recovered.
+    ``H`` is a symmetric matrix of side ``dim_h``.  The orthonormal
+    columns of ``basis`` span the ``svec(H)`` that satisfy the
+    stationarity rows ``jac^T H evec = 0``, and ``cone`` is posed in
+    ``y = (delta, w)`` with ``svec(H) = basis @ w``; its objective is
+    delta.  ``roles[k]`` names block ``k`` of ``cone`` (``curvature``,
+    ``gram-lower``, ``gram-upper`` and, for span-restricted programs,
+    ``norm-cap-lower``/``norm-cap-upper``); blocks constant in ``y``
+    were checked PSD and dropped.  ``jac``, ``evec`` and ``span`` (the
+    map ``P kron P`` of a span-restricted program) are kept so the
+    multipliers can be recovered.
     """
 
     dim_h: int
-    eq_rows: np.ndarray
-    blocks: list[LmiBlock]
+    cone: ConeProgram
+    basis: np.ndarray
+    roles: list[str]
     jac: np.ndarray
     evec: np.ndarray
     factor_rank: int
     span: np.ndarray | None = None
-
-    @property
-    def num_eq(self) -> int:
-        return self.eq_rows.shape[0]
 
 
 class DualVariables:
@@ -190,7 +162,7 @@ def reduce(x: np.ndarray, z: np.ndarray) -> ReducedPair:
     if x.shape != z.shape:
         raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
     if not (np.any(x) or np.any(z)):
-        raise DegenerateInputError("x and z are both zero; no span to reduce to")
+        raise NotSpuriousError("x and z are both zero; no span to reduce to")
     p = orth_basis(np.hstack([x, z]))
     return ReducedPair(p=p, xhat=p.T @ x, zhat=p.T @ z)
 
@@ -199,34 +171,14 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     """Program over (delta, H) whose optimum equals the sharpest constant.
 
     The stationarity rows force the gradient of the recovery objective to
-    vanish under gram matrix ``H``, the curvature block keeps its Hessian
-    PSD, and the two gram blocks pin ``H`` between ``(1 -/+ delta) I``.
+    vanish under gram matrix ``H`` (they define the null-space basis), the
+    curvature block keeps its Hessian PSD, and the two gram blocks pin
+    ``H`` between ``(1 -/+ delta) I``.
     """
-    d, r = pair.d, pair.r
     jac = jacobian_mat(pair.xhat)
     evec = vec(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T)
     _require_spurious(evec, pair.xhat, pair.zhat)
-    m = d * d
-    eye = np.eye(m)
-    basis_h = smat(np.eye(svec_dim(m)), m)
-    blocks = [
-        LmiBlock(
-            "curvature",
-            np.zeros((d * r, d * r)),
-            np.zeros((d * r, d * r)),
-            _curvature_tensor(basis_h, jac, evec, r),
-        ),
-        LmiBlock("gram-lower", -eye, eye, basis_h),
-        LmiBlock("gram-upper", eye, eye, -basis_h),
-    ]
-    return LmiProblem(
-        dim_h=m,
-        eq_rows=_eliminate_rows(_stationarity_rows(jac, evec)),
-        blocks=blocks,
-        jac=jac,
-        evec=evec,
-        factor_rank=r,
-    )
+    return _null_space_program(jac, evec, pair.r)
 
 
 def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
@@ -253,57 +205,18 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     jac = jacobian_mat(x)
     evec = vec(x @ x.T - z @ z.T)
     _require_spurious(evec, x, z)
-    n, r = x.shape
-    d = p.shape[1]
-    m = n * n
-    basis_h = smat(np.eye(svec_dim(m)), m)
-    pp = kron(p, p)
-    bounded = pp.T @ basis_h @ pp
-    eye_s = np.eye(d * d)
-    eye_m = np.eye(m)
-    zero_m = np.zeros((m, m))
-    blocks = [
-        LmiBlock(
-            "curvature",
-            np.zeros((n * r, n * r)),
-            np.zeros((n * r, n * r)),
-            _curvature_tensor(basis_h, jac, evec, r),
-        ),
-        LmiBlock("gram-lower", -eye_s, eye_s, bounded),
-        LmiBlock("gram-upper", eye_s, eye_s, -bounded),
-        LmiBlock("norm-cap-lower", NORM_CAP_RADIUS * eye_m, zero_m, basis_h),
-        LmiBlock("norm-cap-upper", NORM_CAP_RADIUS * eye_m, zero_m, -basis_h),
-    ]
-    return LmiProblem(
-        dim_h=m,
-        eq_rows=_eliminate_rows(_stationarity_rows(jac, evec)),
-        blocks=blocks,
-        jac=jac,
-        evec=evec,
-        factor_rank=r,
-        span=pp,
-    )
+    return _null_space_program(jac, evec, x.shape[1], span=np.kron(p, p))
 
 
-def solve_lmi(
-    prob: LmiProblem,
-    opts: SolverOptions | None = None,
-    y0: np.ndarray | None = None,
-) -> SdpSolution:
+def solve_lmi(prob: LmiProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve an assembled program and recover the full set of multipliers."""
-    opts = opts or SolverOptions()
-    cone, basis, roles = _cone_program(prob)
-    if y0 is None:
-        # Start from the identity gram matrix projected onto the
-        # stationarity rows, with delta close to its largest useful value.
-        y0 = np.concatenate(
-            [[opts.initial_delta], basis.T @ svec(np.eye(prob.dim_h))]
-        )
-    res = _solve_cone(cone, opts=opts, y0=y0)
+    # Start from the identity gram matrix projected onto the null space.
+    y0 = np.concatenate([[INITIAL_DELTA], prob.basis.T @ svec(np.eye(prob.dim_h))])
+    res = _solve_cone(prob.cone, opts=opts, y0=y0)
     delta_raw = float(res.y[0])
-    h = smat(basis @ res.y[1:], prob.dim_h)
+    h = smat(prob.basis @ res.y[1:], prob.dim_h)
     q = prob.jac.shape[1]
-    by_role = dict(zip(roles, res.duals))
+    by_role = dict(zip(prob.roles, res.duals))
     v = by_role.get("curvature", np.zeros((q, q)))
     u1 = by_role["gram-lower"]
     u2 = by_role["gram-upper"]
@@ -337,30 +250,17 @@ def delta_exact(
     mapped back to the original scale.  The gram matrix refers to the
     span basis of ``reduce(x, z)``.
     """
-    x = _factor(x, "x")
-    z = _factor(z, "z")
-    if x.shape != z.shape:
-        raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
-    e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
-    scale = max(float(np.sum(x * x)), float(np.sum(z * z)), 1.0)
-    if e_norm <= 1e-12 * scale:
-        raise NotSpuriousError(
-            "x x^T equals z z^T; every operator makes x a global optimum"
-        )
     pair = reduce(x, z)
-    c = e_norm**-0.5
-    scaled = ReducedPair(p=pair.p, xhat=c * pair.xhat, zhat=c * pair.zhat)
+    e_norm = float(np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
+    # A zero residual is left unscaled for build_upper_lmi to reject; after
+    # scaling, its relative test no longer depends on the input scale.
+    c = e_norm**-0.5 if e_norm else 1.0
+    scaled = dataclasses.replace(pair, xhat=c * pair.xhat, zhat=c * pair.zhat)
     sol = solve_lmi(build_upper_lmi(scaled), opts)
     dual = sol.dual
-    if dual is not None:
-        dual = DualVariables(y=c**3 * dual.y, u1=dual.u1, u2=dual.u2, v=c**2 * dual.v)
-    return SdpSolution(
-        delta=sol.delta,
-        h=sol.h,
-        dual=dual,
-        gap=sol.gap,
-        status=sol.status,
-        iterations=sol.iterations,
+    return dataclasses.replace(
+        sol,
+        dual=DualVariables(y=c**3 * dual.y, u1=dual.u1, u2=dual.u2, v=c**2 * dual.v),
     )
 
 
@@ -385,9 +285,9 @@ def recover_minimizer(sol: SdpSolution, pair: ReducedPair) -> MeasurementOperato
     stacked = np.vstack(
         [
             rows_span,
-            kron(p, perp).T,
-            kron(perp, p).T,
-            kron(perp, perp).T,
+            np.kron(p, perp).T,
+            np.kron(perp, p).T,
+            np.kron(perp, perp).T,
         ]
     )
     return MeasurementOperator.from_stacked(stacked, n)
@@ -402,70 +302,69 @@ def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateRe
     by the identity off the span, multipliers pushed through the basis).
     Pure report: nothing is thresholded away, nothing raises.
     """
-    d, r = pair.d, pair.r
+    r = pair.r
     h = sym(np.asarray(primal.h, dtype=float))
     delta = float(primal.delta)
     jac = jacobian_mat(pair.xhat)
     evec = vec(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T)
-    checks = _primal_checks(jac, evec, h, delta, r, d, prefix="")
+    checks = _primal_checks(jac, evec, h, delta, r, prefix="")
     gap = None
     dual = primal.dual
     if dual is not None:
-        checks.update(_dual_checks(jac, evec, dual, r, d, prefix=""))
+        checks.update(_dual_checks(jac, evec, dual, r, prefix=""))
         gap = delta - float(np.trace(dual.u1) - np.trace(dual.u2))
 
     # The same solution, expanded to the ambient dimension.
     p = pair.p
     n = pair.n
-    pp = kron(p, p)
+    pp = np.kron(p, p)
+    ip = np.kron(np.eye(r), p)
     x = p @ pair.xhat
     z = p @ pair.zhat
     jac_full = jacobian_mat(x)
     e_full = vec(x @ x.T - z @ z.T)
     checks["lift-residual"] = float(np.abs(e_full - pp @ evec).max())
-    checks["lift-jacobian"] = float(
-        np.abs(jac_full @ kron(np.eye(r), p) - pp @ jac).max()
-    )
+    checks["lift-jacobian"] = float(np.abs(jac_full @ ip - pp @ jac).max())
     h_full = pp @ h @ pp.T + np.eye(n * n) - pp @ pp.T
-    checks.update(
-        _primal_checks(jac_full, e_full, h_full, delta, r, n, prefix="lift-")
-    )
+    checks.update(_primal_checks(jac_full, e_full, h_full, delta, r, prefix="lift-"))
     if dual is not None:
         lifted = DualVariables(
-            y=kron(np.eye(r), p) @ dual.y,
+            y=ip @ dual.y,
             u1=pp @ dual.u1 @ pp.T,
             u2=pp @ dual.u2 @ pp.T,
-            v=kron(np.eye(r), p) @ dual.v @ kron(np.eye(r), p).T,
+            v=ip @ dual.v @ ip.T,
         )
-        checks.update(_dual_checks(jac_full, e_full, lifted, r, n, prefix="lift-"))
+        checks.update(_dual_checks(jac_full, e_full, lifted, r, prefix="lift-"))
     return CertificateReport(checks=checks, gap=gap)
 
 
-def _primal_checks(jac, evec, h, delta, r, side, prefix):
-    he = h @ evec
-    curvature = 2.0 * np.kron(np.eye(r), sym(mat(he, (side, side)))) + jac.T @ h @ jac
-    eigs = sym_eig(sym(h)).values
+def _primal_checks(jac, evec, h, delta, r, prefix):
+    curvature = curvature_form(jac, evec, h, r)
+    eigs = np.linalg.eigvalsh(sym(h))
     return {
-        prefix + "stationarity": float(np.abs(jac.T @ he).max()),
-        prefix + "curvature-psd": max(0.0, -float(sym_eig(sym(curvature)).values[0])),
+        prefix + "stationarity": float(np.abs(jac.T @ (h @ evec)).max()),
+        prefix + "curvature-psd": max(0.0, -float(np.linalg.eigvalsh(sym(curvature))[0])),
         prefix + "gram-lower": max(0.0, (1.0 - delta) - float(eigs[0])),
         prefix + "gram-upper": max(0.0, float(eigs[-1]) - (1.0 + delta)),
     }
 
 
-def _dual_checks(jac, evec, dual, r, side, prefix):
-    t = sum(
-        dual.v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r)
-    )
-    s = r * (jac @ dual.y) - vec(t)
+def _dual_checks(jac, evec, dual, r, prefix):
+    s = r * (jac @ dual.y) - vec(_block_trace(dual.v, r))
     lhs = np.outer(s, evec) + np.outer(evec, s) - jac @ dual.v @ jac.T
     return {
         prefix + "dual-trace": abs(float(np.trace(dual.u1) + np.trace(dual.u2)) - 1.0),
         prefix + "dual-equation": float(np.abs(lhs - (dual.u1 - dual.u2)).max()),
-        prefix + "dual-curvature-psd": max(0.0, -float(sym_eig(dual.v).values[0])),
-        prefix + "dual-gram-lower-psd": max(0.0, -float(sym_eig(dual.u1).values[0])),
-        prefix + "dual-gram-upper-psd": max(0.0, -float(sym_eig(dual.u2).values[0])),
+        prefix + "dual-curvature-psd": max(0.0, -float(np.linalg.eigvalsh(dual.v)[0])),
+        prefix + "dual-gram-lower-psd": max(0.0, -float(np.linalg.eigvalsh(dual.u1)[0])),
+        prefix + "dual-gram-upper-psd": max(0.0, -float(np.linalg.eigvalsh(dual.u2)[0])),
     }
+
+
+def _block_trace(v: np.ndarray, r: int) -> np.ndarray:
+    """Sum of the ``r`` diagonal blocks of ``V``: the partial trace over I_r."""
+    side = v.shape[0] // r
+    return sum(v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r))
 
 
 def _factor(a: np.ndarray, name: str) -> np.ndarray:
@@ -491,55 +390,62 @@ def _stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
     return svec(0.5 * (outers + outers.transpose(0, 2, 1)))
 
 
-def _eliminate_rows(raw: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row space, dropping dependent rows."""
-    if raw.size == 0 or not np.any(raw):
-        return np.zeros((0, raw.shape[1]))
-    _, s, vt = np.linalg.svd(raw, full_matrices=False)
-    rank = int(np.sum(s > EQ_RANK_TOL * s[0]))
-    return vt[:rank]
+def _null_space_program(
+    jac: np.ndarray, evec: np.ndarray, r: int, span: np.ndarray | None = None
+) -> LmiProblem:
+    """Cone program in ``y = (delta, w)`` with ``svec(H) = N w``.
 
-
-def _curvature_tensor(
-    basis_h: np.ndarray, jac: np.ndarray, evec: np.ndarray, r: int
-) -> np.ndarray:
-    """Hessian block of each svec(H) direction: 2 I_r kron mat(H e) + jac^T H jac."""
-    side = basis_h.shape[-1]
-    b = int(round(np.sqrt(side)))
-    he = basis_h @ evec
-    mats = he.reshape(-1, b, b).transpose(0, 2, 1)
-    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
-    q = jac.shape[1]
-    out = np.zeros((basis_h.shape[0], q, q))
-    for j in range(r):
-        out[:, j * b : (j + 1) * b, j * b : (j + 1) * b] = 2.0 * mats
-    out += jac.T @ basis_h @ jac
-    return out
-
-
-def _cone_program(prob: LmiProblem) -> tuple[ConeProgram, np.ndarray, list[str]]:
-    """Eliminate the stationarity rows and drop vacuous constant blocks."""
-    dim = svec_dim(prob.dim_h)
-    basis = sla.null_space(prob.eq_rows) if prob.eq_rows.size else np.eye(dim)
-    c = np.zeros(1 + basis.shape[1])
-    c[0] = 1.0
-    blocks: list[ConeBlock] = []
+    ``N`` is an orthonormal basis of the null space of the stationarity
+    rows: the complement of their span, counting singular values below
+    ``EQ_RANK_TOL`` times the largest as zero.  The H-coefficients of the
+    gram blocks are the matrices ``smat(N^T)``, taken through ``span``
+    when the bounds are restricted to a span, and those of the curvature
+    block are the Hessian form of the same stack.  A block constant in
+    ``y`` is dropped when PSD and makes the program infeasible otherwise;
+    it occurs when ``x`` and ``z`` are collinear and the null space is
+    empty.
+    """
+    m = jac.shape[0]
+    basis = orth_complement(_stationarity_rows(jac, evec).T, rtol=EQ_RANK_TOL)
+    stack = smat(basis.T, m)
+    bounded = stack if span is None else span.T @ stack @ span
+    eye = np.eye(bounded.shape[-1])
+    zero_q = np.zeros((jac.shape[1],) * 2)
+    blocks = [
+        ("curvature", zero_q, zero_q, curvature_form(jac, evec, stack, r)),
+        ("gram-lower", -eye, eye, bounded),
+        ("gram-upper", eye, eye, -bounded),
+    ]
+    if span is not None:
+        cap, zero_m = NORM_CAP_RADIUS * np.eye(m), np.zeros((m, m))
+        blocks.append(("norm-cap-lower", cap, zero_m, stack))
+        blocks.append(("norm-cap-upper", cap, zero_m, -stack))
+    cone_blocks: list[ConeBlock] = []
     roles: list[str] = []
-    for blk in prob.blocks:
-        coeffs = np.concatenate(
-            [blk.delta_coeff[None], np.tensordot(basis.T, blk.h_tensor, axes=1)]
-        )
+    for name, base, delta_coeff, h_coeffs in blocks:
+        coeffs = np.concatenate([delta_coeff[None], h_coeffs])
         if np.abs(coeffs).max(initial=0.0) <= 1e-12:
             # Constant block: vacuous if PSD, contradictory otherwise.
-            floor = float(sym_eig(blk.base).values[0])
-            if floor < -1e-9 * max(1.0, float(np.linalg.norm(blk.base, 2))):
-                raise SolverError(f"block {blk.name!r} is constant and not PSD")
+            floor = float(np.linalg.eigvalsh(base)[0])
+            if floor < -1e-9 * max(1.0, float(np.linalg.norm(base, 2))):
+                raise SolverError(f"block {name!r} is constant and not PSD")
             continue
-        blocks.append(ConeBlock(f0=blk.base, coeffs=coeffs))
-        roles.append(blk.name)
-    if not blocks:
+        cone_blocks.append(ConeBlock(f0=base, coeffs=coeffs))
+        roles.append(name)
+    if not cone_blocks:
         raise SolverError("every constraint block is vacuous")
-    return ConeProgram(c=c, blocks=blocks), basis, roles
+    c = np.zeros(1 + basis.shape[1])
+    c[0] = 1.0
+    return LmiProblem(
+        dim_h=m,
+        cone=ConeProgram(c=c, blocks=cone_blocks),
+        basis=basis,
+        roles=roles,
+        jac=jac,
+        evec=evec,
+        factor_rank=r,
+        span=span,
+    )
 
 
 def _recover_multiplier(
@@ -547,16 +453,15 @@ def _recover_multiplier(
 ) -> np.ndarray:
     """Stationarity-row multiplier consistent with the cone duals.
 
-    The eliminated rows leave the dual equation determined only up to the
-    row space; the least-squares solve puts it back, scaled to match the
+    The null-space coordinates leave the dual equation determined only up
+    to the row space; the least-squares solve puts it back, scaled to match the
     multiplier convention of the dual program.  Span-restricted gram
     duals (and, when present, spectral-cap duals) are expanded to the
     full dimension before the solve.
     """
     jac, evec, r = prob.jac, prob.evec, prob.factor_rank
-    side = jac.shape[1] // r
-    t = sum(v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r))
-    g = -(np.outer(vec(t), evec) + np.outer(evec, vec(t))) - jac @ v @ jac.T
+    t = vec(_block_trace(v, r))
+    g = -(np.outer(t, evec) + np.outer(evec, t)) - jac @ v @ jac.T
     diff = by_role["gram-lower"] - by_role["gram-upper"]
     if prob.span is not None:
         diff = prob.span @ diff @ prob.span.T

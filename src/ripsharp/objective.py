@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import mat, sym, sym_eig, vec
+from .linalg import mat, sym, vec
 
 
 @dataclass
@@ -132,14 +132,30 @@ def jacobian_mat(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    n, r = x.shape
-    cols = np.empty((n * n, n * r))
-    eye = np.eye(n)
+    n = x.shape[0]
+    # Column j*n + i of kron(x, I) is vec(e_i x_j^T); swapping the two
+    # row indices transposes it to vec(x_j e_i^T).
+    ux = np.kron(x, np.eye(n))
+    return ux + ux.reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
+
+
+def curvature_form(
+    jac: np.ndarray, evec: np.ndarray, h: np.ndarray, r: int
+) -> np.ndarray:
+    """``2 I_r kron sym(mat(H e)) + J^T H J`` for a gram matrix or a stack.
+
+    With ``J = jacobian_mat(x)``, ``e`` the lifted residual and
+    ``H = A^T A``, this is the Hessian of ``f / (2c)`` on ``vec(U)``.
+    ``h`` may be one ``n^2 x n^2`` matrix or a ``(..., n^2, n^2)`` stack.
+    """
+    h = np.asarray(h, dtype=float)
+    side = jac.shape[1] // r
+    he = (h @ evec).reshape(h.shape[:-2] + (side, side))
+    half = 0.5 * (he + np.swapaxes(he, -1, -2))
+    out = jac.T @ h @ jac
     for j in range(r):
-        for i in range(n):
-            outer = np.outer(x[:, j], eye[i])
-            cols[:, j * n + i] = vec(outer + outer.T)
-    return cols
+        out[..., j * side : (j + 1) * side, j * side : (j + 1) * side] += 2.0 * half
+    return out
 
 
 def evaluate(
@@ -155,9 +171,7 @@ def evaluate(
     he = h @ e
     f = c * float(e @ he)
     grad = 2.0 * c * mat(jac.T @ he, (n, r))
-    hess = 2.0 * c * (
-        2.0 * np.kron(np.eye(r), sym(mat(he, (n, n)))) + jac.T @ h @ jac
-    )
+    hess = 2.0 * c * curvature_form(jac, e, h, r)
     return f, grad, sym(hess)
 
 
@@ -183,7 +197,7 @@ def criticality_certificate(
     return CriticalityCertificate(
         f_value=f,
         grad_norm=float(np.linalg.norm(grad)),
-        hess_min_eig=float(sym_eig(hess).values[0]),
+        hess_min_eig=float(np.linalg.eigvalsh(hess)[0]),
         tol_g=tol_g,
         tol_h=tol_h,
     )
@@ -192,7 +206,7 @@ def criticality_certificate(
 def rip_constant_fullspace(op: MeasurementOperator) -> float:
     """Smallest delta with (1-delta)||M||^2 <= ||A(M)||^2 <= (1+delta)||M||^2
     over all of R^{n x n}, i.e. the eigenvalue spread of the Gram matrix."""
-    values = sym_eig(op.gram).values
+    values = np.linalg.eigvalsh(op.gram)
     return max(1.0 - float(values[0]), float(values[-1]) - 1.0, 0.0)
 
 

@@ -13,7 +13,7 @@ right trade for the small matrices this package produces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -84,7 +84,6 @@ class SolverOptions:
     stall_gap_tol: float = 1e-8
     stall_dinf_tol: float = 1e-6
     max_iters: int = 200
-    initial_delta: float = 0.999
 
 
 @dataclass
@@ -167,7 +166,6 @@ def solve(
     prog: ConeProgram,
     opts: SolverOptions | None = None,
     y0: np.ndarray | None = None,
-    log_sink: IO[str] | None = None,
 ) -> SolveResult:
     """Run the interior-point method on ``prog``.
 
@@ -275,8 +273,6 @@ def solve(
         s_list = [sym(s + ap * ds) for s, ds in zip(s_list, ds_list)]
         z_list = [sym(z + ad * dz) for z, dz in zip(z_list, dz_list)]
         history.append((it, gap, ap, ad))
-        if log_sink is not None:
-            log_sink.write(f"iter {it:3d}  gap {gap:.6e}  alpha_p {ap:.3f}  alpha_d {ad:.3f}\n")
 
     if status == STEP_FAILURE and floor is not None:
         # Iterates past the floor only gather rounding; return the last one at it.

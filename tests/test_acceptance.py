@@ -12,7 +12,6 @@ from numpy.random import default_rng
 from scipy.optimize import minimize_scalar
 
 from ripsharp import cli, closedform, counterexample, lmi, objective, sdp
-from ripsharp.linalg import kron
 
 _CAPSYS = None
 
@@ -283,7 +282,7 @@ def test_criterion_08_operator_recovery():
         pair = lmi.reduce(x, z)
         op = lmi.recover_minimizer(sol, pair)
         n = pair.n
-        pp = kron(pair.p, pair.p)
+        pp = np.kron(pair.p, pair.p)
         h_full = pp @ sol.h @ pp.T + np.eye(n * n) - pp @ pp.T
         worst_gram = max(worst_gram, float(np.linalg.norm(op.gram - h_full)))
         worst_rip = max(worst_rip, abs(objective.rip_constant_fullspace(op) - sol.delta))

@@ -5,16 +5,13 @@ import pytest
 from ripsharp.errors import NotPsdError
 from ripsharp.linalg import (
     factor_gram,
-    kron,
     mat,
     orth_basis,
     orth_complement,
-    psd_split,
     smat,
     svec,
     svec_dim,
     sym,
-    sym_eig,
     vec,
 )
 
@@ -37,7 +34,7 @@ def test_kron_vec_identity():
     b = rng.standard_normal((3, 3))
     x = rng.standard_normal((3, 3))
     lhs = vec(b @ x @ a.T)
-    rhs = kron(a, b) @ vec(x)
+    rhs = np.kron(a, b) @ vec(x)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -68,15 +65,6 @@ def test_svec_batched():
     assert np.allclose(smat(vs), stack, atol=1e-13)
 
 
-def test_sym_eig_sorted_and_reconstructs():
-    rng = np.random.default_rng(5)
-    a = sym(rng.standard_normal((6, 6)))
-    eig = sym_eig(a)
-    assert np.all(np.diff(eig.values) >= -1e-12)
-    recon = (eig.vectors * eig.values) @ eig.vectors.T
-    assert np.allclose(recon, a, atol=1e-10)
-
-
 def test_orth_basis_spans_input():
     rng = np.random.default_rng(6)
     cols = rng.standard_normal((7, 3))
@@ -97,14 +85,6 @@ def test_orth_complement():
     assert np.allclose(q.T @ q_perp, 0.0, atol=1e-12)
     full = np.hstack([q, q_perp])
     assert np.allclose(full.T @ full, np.eye(6), atol=1e-12)
-
-
-def test_psd_split():
-    a = np.diag([-2.0, 0.0, 3.0])
-    pos, neg = psd_split(a)
-    assert np.allclose(pos, np.diag([0.0, 0.0, 3.0]), atol=1e-12)
-    assert np.allclose(neg, np.diag([2.0, 0.0, 0.0]), atol=1e-12)
-    assert np.allclose(pos - neg, a, atol=1e-12)
 
 
 def test_factor_gram_psd():

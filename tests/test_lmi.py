@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from ripsharp.errors import NotSpuriousError
-from ripsharp.linalg import kron, svec_dim, sym_eig
+from ripsharp.linalg import mat, smat, svec, svec_dim, sym
 from ripsharp.lmi import (
+    NORM_CAP_RADIUS,
     STATUS_NOT_BELOW_ONE,
     STATUS_OPTIMAL,
     SdpSolution,
@@ -92,8 +93,9 @@ def test_boundary_gram_is_feasible():
     prob = build_upper_lmi(reduce(x, z))
     e = prob.evec
     h = np.eye(prob.dim_h) - np.outer(e, e) / float(e @ e)
-    for blk in prob.blocks:
-        assert sym_eig(blk.value(1.0, h)).values[0] >= -1e-12, blk.name
+    y = np.concatenate([[1.0], prob.basis.T @ svec(h)])
+    for role, blk in zip(prob.roles, prob.cone.blocks):
+        assert np.linalg.eigvalsh(blk.value(y))[0] >= -1e-12, role
     # stationarity rows vanish as well
     assert np.linalg.norm(prob.jac.T @ (h @ e)) <= 1e-12
 
@@ -151,7 +153,7 @@ def test_recovered_operator_matches_gram():
     pair = reduce(x, z)
     op = recover_minimizer(sol, pair)
     n = pair.n
-    pp = kron(pair.p, pair.p)
+    pp = np.kron(pair.p, pair.p)
     h_full = pp @ sol.h @ pp.T + np.eye(n * n) - pp @ pp.T
     assert np.linalg.norm(op.gram - h_full) <= 1e-10
     rank = int(np.sum(np.linalg.eigvalsh(sol.h) > 1e-9))
@@ -189,5 +191,70 @@ def test_upper_problem_shapes():
     assert prob.dim_h == pair.d**2
     assert prob.evec.shape == (pair.d**2,)
     assert prob.jac.shape == (pair.d**2, pair.d * pair.r)
-    names = [blk.name for blk in prob.blocks]
-    assert names == ["curvature", "gram-lower", "gram-upper"]
+    assert prob.roles == ["curvature", "gram-lower", "gram-upper"]
+    assert prob.cone.block_sizes == (pair.d * pair.r, pair.d**2, pair.d**2)
+    assert prob.cone.num_vars == 1 + prob.basis.shape[1]
+
+
+def _program(lower, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 2))
+    z = rng.standard_normal((4, 2))
+    pair = reduce(x, z)
+    if lower:
+        return build_lower_lmi(x, z, pair.p), np.kron(pair.p, pair.p), rng
+    return build_upper_lmi(pair), None, rng
+
+
+def _explicit_blocks(prob, pp, delta, h):
+    """Every block of the program written out from its definition."""
+    jac, e, r = prob.jac, prob.evec, prob.factor_rank
+    side = jac.shape[1] // r
+    curvature = 2.0 * np.kron(np.eye(r), sym(mat(h @ e, (side, side)))) + jac.T @ h @ jac
+    bounded = h if pp is None else pp.T @ h @ pp
+    eye = np.eye(bounded.shape[0])
+    blocks = {
+        "curvature": curvature,
+        "gram-lower": bounded - (1.0 - delta) * eye,
+        "gram-upper": (1.0 + delta) * eye - bounded,
+    }
+    if pp is not None:
+        cap = NORM_CAP_RADIUS * np.eye(prob.dim_h)
+        blocks["norm-cap-lower"] = cap + h
+        blocks["norm-cap-upper"] = cap - h
+    return blocks
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_cone_blocks_match_explicit_forms(lower):
+    # at a random stationary H, the null-space coordinates reproduce each
+    # block of the program in (delta, H)
+    prob, pp, rng = _program(lower, 12)
+    delta = 0.37
+    h = smat(prob.basis @ rng.standard_normal(prob.basis.shape[1]), prob.dim_h)
+    y = np.concatenate([[delta], prob.basis.T @ svec(h)])
+    expected = _explicit_blocks(prob, pp, delta, h)
+    assert prob.roles == list(expected)
+    for role, blk in zip(prob.roles, prob.cone.blocks):
+        want = expected[role]
+        assert np.linalg.norm(blk.value(y) - want) <= 1e-12 * np.linalg.norm(want), role
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_null_space_basis_is_orthonormal_and_stationary(lower):
+    prob, _, _ = _program(lower, 13)
+    basis = prob.basis
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    # every basis direction H_k satisfies jac^T H_k e = 0 ...
+    stack = smat(basis.T, prob.dim_h)
+    assert np.abs(prob.jac.T @ stack @ prob.evec).max() <= 1e-12
+    # ... and the basis spans all of them: H -> jac^T H e has rank(jac)
+    assert basis.shape[1] == svec_dim(prob.dim_h) - np.linalg.matrix_rank(prob.jac)
+
+
+def test_collinear_pair_keeps_only_gram_blocks():
+    # d = 1: the null space is empty and the curvature block is constant
+    z = np.array([1.0, 0.0, 0.0])
+    prob = build_upper_lmi(reduce(2.0 * z, z))
+    assert prob.basis.shape[1] == 0
+    assert prob.roles == ["gram-lower", "gram-upper"]

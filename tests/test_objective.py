@@ -171,3 +171,22 @@ def test_evaluate_rejects_wrong_shape():
     inst, rng = random_instance(14, 3, 1)
     with pytest.raises(ValueError):
         evaluate(inst, rng.standard_normal((4, 1)))
+
+
+def jacobian_reference(x):
+    """Column j*n + i is vec(x_j e_i^T + e_i x_j^T), built one at a time."""
+    n, r = x.shape
+    cols = np.empty((n * n, n * r))
+    eye = np.eye(n)
+    for j in range(r):
+        for i in range(n):
+            outer = np.outer(x[:, j], eye[i])
+            cols[:, j * n + i] = vec(outer + outer.T)
+    return cols
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (4, 2), (6, 3)])
+def test_jacobian_closed_form_matches_loop(n, r):
+    x = np.random.default_rng(10 * n + r).standard_normal((n, r))
+    assert np.array_equal(jacobian_mat(x), jacobian_reference(x))
+
