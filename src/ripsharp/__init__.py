@@ -46,7 +46,6 @@ from .objective import (
     evaluate,
     rip_constant_fullspace,
 )
-from .sdp import SolverOptions
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "ReducedPair",
     "SdpSolution",
     "SolverError",
-    "SolverOptions",
     "ThresholdReport",
     "build_lower_lmi",
     "build_upper_lmi",

@@ -23,12 +23,7 @@ import numpy as np
 
 from . import closedform, counterexample, lmi
 from .errors import NotSpuriousError, SolverError
-from .objective import (
-    RecoveryInstance,
-    criticality_certificate,
-    residual_vec,
-    rip_constant_fullspace,
-)
+from .objective import RecoveryInstance, criticality_certificate, rip_constant_fullspace
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -80,7 +75,6 @@ class EcdfConfig:
     r: int
     num_samples: int
     seed: int = 0
-    out: str | None = None
     general_z: bool = False
 
     def __post_init__(self) -> None:
@@ -198,8 +192,6 @@ def cmd_verify(instance_path: str, x_path: str | None = None) -> str:
         x = np.asarray(payload["x"], dtype=float)
     else:
         raise ValueError('no candidate point: pass --x or bundle an "x" entry')
-    if x.ndim == 1:
-        x = x[:, None]
     return verify_report(inst, x)
 
 

@@ -32,10 +32,20 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def orth_basis(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def as_factor(a: np.ndarray, name: str) -> np.ndarray:
+    """A factor as a nonempty float matrix; a vector is an n x 1 column."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty vector or matrix")
+    return a
+
+
+def orth_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of ``a``.
 
-    Columns with singular value below ``rtol * sigma_max`` are treated as
+    Columns with singular value below ``RANK_RTOL * sigma_max`` are treated as
     numerically zero; the result has exactly rank(a) columns.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -44,7 +54,7 @@ def orth_basis(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0))
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :rank]
 
 
@@ -59,13 +69,13 @@ def orth_complement(p: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return u[:, rank:]
 
 
-def factor_gram(h: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def factor_gram(h: np.ndarray) -> np.ndarray:
     """Factor a PSD matrix as ``h = a.T @ a``.
 
     Uses Cholesky when ``h`` is numerically positive definite, otherwise an
     eigenvalue factorization whose row count equals the numerical rank.
     Raises :class:`NotPsdError` when an eigenvalue is below
-    ``-rtol * max(|eigenvalues|)``.
+    ``-RANK_RTOL * max(|eigenvalues|)``.
     """
     h = np.asarray(h, dtype=float)
     try:
@@ -74,11 +84,11 @@ def factor_gram(h: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
         pass
     values, vectors = np.linalg.eigh(h)
     scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if values.size and values[0] < -rtol * max(scale, 1.0):
+    if values.size and values[0] < -RANK_RTOL * max(scale, 1.0):
         raise NotPsdError(
             f"matrix has negative eigenvalue {values[0]:.3e} (scale {scale:.3e})"
         )
-    keep = values > rtol * scale
+    keep = values > RANK_RTOL * scale
     return (np.sqrt(values[keep])[:, None] * vectors[:, keep].T)
 
 

@@ -29,17 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSpuriousError, SolverError
-from .linalg import factor_gram, orth_basis, orth_complement, smat, svec, sym, vec
+from .linalg import as_factor, factor_gram, orth_basis, orth_complement, smat, svec, sym, vec
 from .objective import MeasurementOperator, curvature_form, jacobian_mat
-from .sdp import ConeBlock, ConeProgram, SolverOptions
-from .sdp import OPTIMAL as _CONE_OPTIMAL
-from .sdp import STEP_FAILURE as _CONE_STEP_FAILURE
+from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
+from .sdp import OPTIMAL as STATUS_OPTIMAL
+from .sdp import STEP_FAILURE as STATUS_STEP_FAILURE
+from .sdp import ConeBlock, ConeProgram
 from .sdp import solve as _solve_cone
 
-STATUS_OPTIMAL = "optimal"
 STATUS_NOT_BELOW_ONE = "infeasible-at-delta-below-one"
-STATUS_MAX_ITERATIONS = "max-iterations"
-STATUS_STEP_FAILURE = "step-failure"
 
 # Spectral cap on the gram variable of span-restricted programs.  Any
 # optimal gram matrix satisfies ||H||_2 <= 1 + delta <= 2, so the cap
@@ -64,8 +62,8 @@ class ReducedPair:
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, dtype=float)
-        self.xhat = _factor(self.xhat, "xhat")
-        self.zhat = _factor(self.zhat, "zhat")
+        self.xhat = as_factor(self.xhat, "xhat")
+        self.zhat = as_factor(self.zhat, "zhat")
         if self.p.ndim != 2 or self.p.shape[1] != self.xhat.shape[0]:
             raise ValueError("span basis does not match the projected factors")
         if self.xhat.shape != self.zhat.shape:
@@ -157,8 +155,8 @@ class CertificateReport:
 
 def reduce(x: np.ndarray, z: np.ndarray) -> ReducedPair:
     """Project a factor pair onto an orthonormal basis of their joint span."""
-    x = _factor(x, "x")
-    z = _factor(z, "z")
+    x = as_factor(x, "x")
+    z = as_factor(z, "z")
     if x.shape != z.shape:
         raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
     if not (np.any(x) or np.any(z)):
@@ -193,8 +191,8 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     not change the value whenever such an optimum exists (always the case
     when ``p`` spans both factors).
     """
-    x = _factor(x, "x")
-    z = _factor(z, "z")
+    x = as_factor(x, "x")
+    z = as_factor(z, "z")
     if x.shape != z.shape:
         raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
     p = np.asarray(p, dtype=float)
@@ -208,11 +206,11 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     return _null_space_program(jac, evec, x.shape[1], span=np.kron(p, p))
 
 
-def solve_lmi(prob: LmiProblem, opts: SolverOptions | None = None) -> SdpSolution:
+def solve_lmi(prob: LmiProblem) -> SdpSolution:
     """Solve an assembled program and recover the full set of multipliers."""
     # Start from the identity gram matrix projected onto the null space.
     y0 = np.concatenate([[INITIAL_DELTA], prob.basis.T @ svec(np.eye(prob.dim_h))])
-    res = _solve_cone(prob.cone, opts=opts, y0=y0)
+    res = _solve_cone(prob.cone, y0=y0)
     delta_raw = float(res.y[0])
     h = smat(prob.basis @ res.y[1:], prob.dim_h)
     q = prob.jac.shape[1]
@@ -223,12 +221,9 @@ def solve_lmi(prob: LmiProblem, opts: SolverOptions | None = None) -> SdpSolutio
     dual = DualVariables(
         y=_recover_multiplier(prob, v, by_role), u1=u1, u2=u2, v=v
     )
-    if res.status == _CONE_OPTIMAL:
-        status = STATUS_NOT_BELOW_ONE if delta_raw >= 1.0 - 1e-6 else STATUS_OPTIMAL
-    elif res.status == _CONE_STEP_FAILURE:
-        status = STATUS_STEP_FAILURE
-    else:
-        status = STATUS_MAX_ITERATIONS
+    status = res.status
+    if status == STATUS_OPTIMAL and delta_raw >= 1.0 - 1e-6:
+        status = STATUS_NOT_BELOW_ONE
     return SdpSolution(
         delta=float(np.clip(delta_raw, 0.0, 1.0)),
         h=sym(h),
@@ -239,9 +234,7 @@ def solve_lmi(prob: LmiProblem, opts: SolverOptions | None = None) -> SdpSolutio
     )
 
 
-def delta_exact(
-    x: np.ndarray, z: np.ndarray, opts: SolverOptions | None = None
-) -> SdpSolution:
+def delta_exact(x: np.ndarray, z: np.ndarray) -> SdpSolution:
     """Sharpest isometry constant admitting ``x`` as a spurious critical point.
 
     Solves the reduced program on the joint span after rescaling both
@@ -256,7 +249,7 @@ def delta_exact(
     # scaling, its relative test no longer depends on the input scale.
     c = e_norm**-0.5 if e_norm else 1.0
     scaled = dataclasses.replace(pair, xhat=c * pair.xhat, zhat=c * pair.zhat)
-    sol = solve_lmi(build_upper_lmi(scaled), opts)
+    sol = solve_lmi(build_upper_lmi(scaled))
     dual = sol.dual
     return dataclasses.replace(
         sol,
@@ -365,15 +358,6 @@ def _block_trace(v: np.ndarray, r: int) -> np.ndarray:
     """Sum of the ``r`` diagonal blocks of ``V``: the partial trace over I_r."""
     side = v.shape[0] // r
     return sum(v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r))
-
-
-def _factor(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a nonempty vector or matrix")
-    return a
 
 
 def _require_spurious(evec: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import mat, sym, vec
+from .linalg import as_factor, mat, sym, vec
 
 
 @dataclass
@@ -53,10 +53,6 @@ class MeasurementOperator:
         stacked = np.asarray(stacked, dtype=float)
         return cls(stacked.reshape(-1, n, n).transpose(0, 2, 1))
 
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        """Evaluate the operator on a symmetric matrix."""
-        return self.stacked @ vec(s)
-
 
 @dataclass
 class RecoveryInstance:
@@ -67,9 +63,7 @@ class RecoveryInstance:
     scale: float = 0.5
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim == 1:
-            z = z[:, None]
+        z = as_factor(self.z, "ground truth")
         if z.shape[0] != self.operator.n:
             raise ValueError("ground truth dimension does not match operator")
         self.z = z
@@ -129,9 +123,7 @@ def residual_vec(inst: RecoveryInstance, x: np.ndarray) -> np.ndarray:
 
 def jacobian_mat(x: np.ndarray) -> np.ndarray:
     """n^2 x nr matrix J with J vec(U) = vec(X U^T + U X^T)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_factor(x, "x")
     n = x.shape[0]
     # Column j*n + i of kron(x, I) is vec(e_i x_j^T); swapping the two
     # row indices transposes it to vec(x_j e_i^T).
@@ -211,9 +203,7 @@ def rip_constant_fullspace(op: MeasurementOperator) -> float:
 
 
 def _as_factor(inst: RecoveryInstance, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_factor(x, "candidate")
     if x.shape != (inst.n, inst.r):
         raise ValueError(f"candidate shape {x.shape} != {(inst.n, inst.r)}")
     return x

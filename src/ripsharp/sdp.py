@@ -12,7 +12,7 @@ right trade for the small matrices this package produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,14 @@ from .linalg import svec, sym
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"
 STEP_FAILURE = "step-failure"
+
+# Stopping rule: relative duality gap and scaled infeasibilities.
+GAP_TOL = 1e-9
+FEAS_TOL = 1e-9
+# Ceilings for accepting a numerically stalled iterate.
+STALL_GAP_TOL = 1e-8
+STALL_DINF_TOL = 1e-6
+ITERATION_LIMIT = 200
 
 # Fraction-to-boundary factor for accepted steps.
 STEP_SHRINK = 0.98
@@ -77,16 +85,6 @@ class ConeProgram:
 
 
 @dataclass
-class SolverOptions:
-    gap_tol: float = 1e-9
-    feas_tol: float = 1e-9
-    # Ceilings for accepting a numerically stalled iterate.
-    stall_gap_tol: float = 1e-8
-    stall_dinf_tol: float = 1e-6
-    max_iters: int = 200
-
-
-@dataclass
 class SolveResult:
     y: np.ndarray
     duals: list[np.ndarray]
@@ -97,27 +95,6 @@ class SolveResult:
     iterations: int
     pinf: float
     dinf: float
-    history: list[tuple[int, float, float, float]] = field(default_factory=list)
-
-
-@dataclass
-class SolutionReport:
-    """Feasibility and optimality residuals of a candidate primal/dual pair."""
-
-    pobj: float
-    dobj: float
-    gap: float
-    primal_min_eigs: np.ndarray
-    dual_min_eigs: np.ndarray
-    dual_residual: np.ndarray
-
-    def max_violation(self) -> float:
-        worst_cone = -min(
-            float(self.primal_min_eigs.min(initial=0.0)),
-            float(self.dual_min_eigs.min(initial=0.0)),
-            0.0,
-        )
-        return max(worst_cone, float(np.abs(self.dual_residual).max(initial=0.0)))
 
 
 class _BlockState:
@@ -162,19 +139,18 @@ def _residuals(prog, y, s_list, z_list, f_scale, c_scale):
     return rp_list, rd, gap, pinf, dinf, float(prog.c @ y), dobj
 
 
-def solve(
-    prog: ConeProgram,
-    opts: SolverOptions | None = None,
-    y0: np.ndarray | None = None,
-) -> SolveResult:
+def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     """Run the interior-point method on ``prog``.
 
-    Returns the best iterate with status ``optimal``, ``max-iterations``
-    or ``step-failure``; the duals are the per-block PSD multipliers.
-    When the solver cannot continue, the latest iterate at the rounding
-    floor (see below) is returned as ``optimal``.
+    Stops as ``optimal`` once the duality gap is within ``GAP_TOL`` of
+    ``max(1, |pobj|, |dobj|)`` and both scaled infeasibilities are within
+    ``FEAS_TOL``; otherwise as ``max-iterations`` after
+    ``ITERATION_LIMIT`` iterations, or as ``step-failure`` when the
+    solver cannot continue.  In that last case the latest iterate at the
+    rounding floor (gap within ``STALL_GAP_TOL``, dual infeasibility
+    within ``STALL_DINF_TOL``), if any, is returned as ``optimal``.  The
+    duals are the per-block PSD multipliers.
     """
-    opts = opts or SolverOptions()
     p = prog.num_vars
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (p,):
@@ -196,30 +172,25 @@ def solve(
 
     c_scale = 1.0 + float(np.abs(prog.c).max(initial=0.0))
     f_scale = 1.0 + max(float(np.linalg.norm(b.f0)) for b in prog.blocks)
-    history: list[tuple[int, float, float, float]] = []
     status = MAX_ITERATIONS
     small_steps = 0
     it = 0
     floor = None
 
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, ITERATION_LIMIT + 1):
         rp_list, rd, gap, pinf, dinf, pobj, dobj = _residuals(
             prog, y, s_list, z_list, f_scale, c_scale
         )
         mu = gap / total_dim
         gap_scale = max(1.0, abs(pobj), abs(dobj))
-        if gap <= opts.gap_tol * gap_scale and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
+        if gap <= GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= FEAS_TOL:
             status = OPTIMAL
             break
         # At degenerate optima the dual residual floors at the rounding
         # level of the Newton system, a few orders above the target; an
         # iterate is still accepted if complementarity and primal
         # feasibility made it, should the solver be unable to continue.
-        if (
-            gap <= opts.stall_gap_tol * gap_scale
-            and pinf <= opts.feas_tol
-            and dinf <= opts.stall_dinf_tol
-        ):
+        if gap <= STALL_GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= STALL_DINF_TOL:
             floor = (y, s_list, z_list)
 
         try:
@@ -272,7 +243,6 @@ def solve(
         y = y + ap * dy
         s_list = [sym(s + ap * ds) for s, ds in zip(s_list, ds_list)]
         z_list = [sym(z + ad * dz) for z, dz in zip(z_list, dz_list)]
-        history.append((it, gap, ap, ad))
 
     if status == STEP_FAILURE and floor is not None:
         # Iterates past the floor only gather rounding; return the last one at it.
@@ -288,26 +258,6 @@ def solve(
         iterations=it,
         pinf=pinf,
         dinf=dinf,
-        history=history,
-    )
-
-
-def check_solution(
-    prog: ConeProgram, y: np.ndarray, duals: Sequence[np.ndarray]
-) -> SolutionReport:
-    """Residual report for a candidate primal/dual pair."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    duals = [sym(np.asarray(z, dtype=float)) for z in duals]
-    if len(duals) != len(prog.blocks):
-        raise ValueError("one dual matrix per block required")
-    values = [sym(blk.value(y)) for blk in prog.blocks]
-    return SolutionReport(
-        pobj=float(prog.c @ y),
-        dobj=-sum(float(np.vdot(b.f0, z)) for b, z in zip(prog.blocks, duals)),
-        gap=sum(float(np.vdot(v, z)) for v, z in zip(values, duals)),
-        primal_min_eigs=np.array([float(np.linalg.eigvalsh(v)[0]) for v in values]),
-        dual_min_eigs=np.array([float(np.linalg.eigvalsh(z)[0]) for z in duals]),
-        dual_residual=prog.c - _adjoint(prog, duals),
     )
 
 

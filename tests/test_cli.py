@@ -174,27 +174,28 @@ def test_bad_flags_exit_one():
 
 
 def test_solver_failure_exit_two(monkeypatch):
-    def stalled(x, z, opts=None):
+    def stalled(x, z):
         raise SolverError("interior-point solve did not converge")
 
     monkeypatch.setattr(cli.lmi, "delta_exact", stalled)
     assert cli.main(["delta", "--rho", "0.5", "--phi", "90"]) == 2
 
 
-def test_step_failure_reported_and_exits_two(monkeypatch, capsys):
-    # the solve stops on a step failure; lmi reports it as such and the
+@pytest.mark.parametrize("status", [sdp.STEP_FAILURE, sdp.MAX_ITERATIONS])
+def test_unconverged_status_reported_and_exits_two(monkeypatch, capsys, status):
+    # the solve stops unconverged; lmi passes its status through and the
     # command line treats it as a solver failure naming the status
     real = cli.lmi._solve_cone
 
-    def failing(prog, opts=None, y0=None):
-        return dataclasses.replace(real(prog, opts=opts, y0=y0), status=sdp.STEP_FAILURE)
+    def stopped(prog, y0=None):
+        return dataclasses.replace(real(prog, y0=y0), status=status)
 
-    monkeypatch.setattr(cli.lmi, "_solve_cone", failing)
+    monkeypatch.setattr(cli.lmi, "_solve_cone", stopped)
     x, z = np.array([0.0, 1 / np.sqrt(2)]), np.array([1.0, 0.0])
     prob = cli.lmi.build_upper_lmi(cli.lmi.reduce(x, z))
-    assert cli.lmi.solve_lmi(prob).status == cli.lmi.STATUS_STEP_FAILURE
+    assert cli.lmi.solve_lmi(prob).status == status
     assert cli.main(["delta", "--rho", "0.5", "--phi", "90"]) == 2
-    assert "step-failure" in capsys.readouterr().err
+    assert status in capsys.readouterr().err
 
 
 def test_ecdf_validation():
