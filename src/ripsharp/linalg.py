@@ -7,6 +7,7 @@ routines are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -118,11 +119,16 @@ def svec(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def svec_side(m: int) -> int:
+    """Side of the symmetric matrices whose svec has length ``m``."""
+    return (math.isqrt(8 * m + 1) - 1) // 2
+
+
 def smat(v: np.ndarray, n: int | None = None) -> np.ndarray:
     """Inverse of :func:`svec`."""
     v = np.asarray(v, dtype=float)
     if n is None:
-        n = int(round((np.sqrt(8 * v.shape[-1] + 1) - 1) / 2))
+        n = svec_side(v.shape[-1])
     rows, cols = _svec_indices(n)
     off = rows != cols
     vals = v.copy()
@@ -131,3 +137,15 @@ def smat(v: np.ndarray, n: int | None = None) -> np.ndarray:
     out[..., rows, cols] = vals
     out[..., cols, rows] = vals
     return out
+
+
+@lru_cache(maxsize=None)
+def sym_basis(n: int) -> np.ndarray:
+    """Orthonormal ``n^2 x svec_dim(n)`` basis Q of the vectorized symmetric matrices.
+
+    Column j is ``vec(smat(e_j))``, so ``Q^T vec(S) = svec(S)`` for symmetric
+    ``S`` and ``Q v = vec(smat(v))``.  The cached array is read-only.
+    """
+    q = smat(np.eye(svec_dim(n)), n).reshape(-1, n * n).T
+    q.flags.writeable = False
+    return q

@@ -6,14 +6,26 @@ admits ``x`` as a second-order critical point of the factored recovery
 objective whose ground truth is ``z z^T``.  Both criticality conditions
 are linear in the gram matrix ``H = A^T A``, so the search over
 operators is a semidefinite program in ``(delta, H)``; projecting onto
-the joint column span of ``x`` and ``z`` shrinks the variable to
-``d^2 x d^2`` with ``d <= 2r``, and the optimum is unchanged.
+the joint column span of ``x`` and ``z`` shrinks ``H`` to ``d^2 x d^2``
+with ``d <= 2r``, and the optimum is unchanged.
 
-The stationarity condition ``J^T H e = 0`` is a set of linear rows on
-``svec(H)``.  Each program is built directly in coordinates of their
-null space, ``svec(H) = N w`` for an orthonormal basis ``N``: every
-iterate is exactly stationary, the cone variables are ``y = (delta, w)``
-and every PSD block is affine in ``y``.
+The columns of the Jacobian ``J`` and the residual ``e`` lie in
+``vec(Sym_d)``, so the conditions see only ``H' = Q^T H Q`` for its
+orthonormal basis ``Q = sym_basis(d)``.  Compression keeps
+``(1 -/+ delta) I`` (Cauchy interlacing) and ``Q H' Q^T + (I - Q Q^T)``
+is feasible at the same delta, so the programs are posed on ``H'`` of
+side ``d(d+1)/2`` and their solutions lifted back.  The stationarity
+condition ``J'^T H' e' = 0`` (``J' = Q^T J``, ``e' = Q^T e``) is a set of
+linear rows on ``svec(H')``; each program is built in coordinates of
+their null space, ``svec(H') = N w`` for an orthonormal basis ``N``, so
+every iterate is exactly stationary and every PSD block is affine in the
+cone variables ``y = (delta, w)``.
+
+For ``r >= 2`` every curvature coefficient annihilates ``vec(x Omega)``
+for skew ``Omega``, as the objective is invariant under ``x -> x R``.
+The curvature block is restricted to the orthogonal complement ``K`` of
+those vectors (facial reduction, Borwein and Wolkowicz 1981), which
+gives it an interior.
 
 A companion program keeps ``H`` in the ambient dimension but imposes the
 isometry bounds only on a chosen span, which can only lower the optimum;
@@ -24,12 +36,14 @@ what makes the reduced program exact rather than merely an upper bound.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotSpuriousError, SolverError
-from .linalg import as_factor, factor_gram, orth_basis, orth_complement, smat, svec, sym, vec
+from .linalg import as_factor, factor_gram, orth_basis, orth_complement, smat, svec
+from .linalg import svec_dim, svec_side, sym, sym_basis, vec
 from .objective import MeasurementOperator, curvature_form, jacobian_mat
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
 from .sdp import OPTIMAL as STATUS_OPTIMAL
@@ -89,16 +103,20 @@ class ReducedPair:
 class LmiProblem:
     """Minimize delta over the stationary gram matrices, as one cone program.
 
-    ``H`` is a symmetric matrix of side ``dim_h``.  The orthonormal
-    columns of ``basis`` span the ``svec(H)`` that satisfy the
-    stationarity rows ``jac^T H evec = 0``, and ``cone`` is posed in
-    ``y = (delta, w)`` with ``svec(H) = basis @ w``; its objective is
+    ``H'`` is the gram matrix on the symmetric subspace, of side
+    ``dim_h = m(m+1)/2`` for factors with ``m`` rows; ``jac = Q^T J`` and
+    ``evec = svec(x x^T - z z^T)`` are in the same svec coordinates.  The
+    orthonormal columns of ``basis`` span the ``svec(H')`` that satisfy
+    the stationarity rows ``jac^T H' evec = 0``, and ``cone`` is posed in
+    ``y = (delta, w)`` with ``svec(H') = basis @ w``; its objective is
     delta.  ``roles[k]`` names block ``k`` of ``cone`` (``curvature``,
     ``gram-lower``, ``gram-upper`` and, for span-restricted programs,
     ``norm-cap-lower``/``norm-cap-upper``); blocks constant in ``y``
-    were checked PSD and dropped.  ``jac``, ``evec`` and ``span`` (the
-    map ``P kron P`` of a span-restricted program) are kept so the
-    multipliers can be recovered.
+    were checked PSD and dropped.  The curvature block is compressed to
+    the orthonormal columns of ``face`` (``K``, ``m r - r(r-1)/2`` of
+    them).  ``jac``, ``evec``, ``face`` and ``span`` (the map
+    ``Q_m^T (P kron P) Q_d`` of a span-restricted program) are kept so
+    the multipliers can be recovered.
     """
 
     dim_h: int
@@ -108,6 +126,7 @@ class LmiProblem:
     jac: np.ndarray
     evec: np.ndarray
     factor_rank: int
+    face: np.ndarray
     span: np.ndarray | None = None
 
 
@@ -173,17 +192,14 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     curvature block keeps its Hessian PSD, and the two gram blocks pin
     ``H`` between ``(1 -/+ delta) I``.
     """
-    jac = jacobian_mat(pair.xhat)
-    evec = vec(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T)
-    _require_spurious(evec, pair.xhat, pair.zhat)
-    return _null_space_program(jac, evec, pair.r)
+    return _null_space_program(pair.xhat, pair.zhat)
 
 
 def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     """Ambient-dimension program with isometry bounds only on a given span.
 
     The stationarity and curvature constraints are those of
-    :func:`build_upper_lmi` in the full ``n^2`` dimension, but the gram
+    :func:`build_upper_lmi` in the ambient dimension, but the gram
     blocks only constrain ``(P kron P)^T H (P kron P)``, so the optimum
     can only drop below the exact value.  A pair of spectral-cap blocks
     bounds the directions of ``H`` the gram blocks no longer see; the cap
@@ -200,27 +216,32 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
         raise ValueError("span basis rows must match the factor dimension")
     if np.abs(p.T @ p - np.eye(p.shape[1])).max() > 1e-8:
         raise ValueError("span basis is not orthonormal")
-    jac = jacobian_mat(x)
-    evec = vec(x @ x.T - z @ z.T)
-    _require_spurious(evec, x, z)
-    return _null_space_program(jac, evec, x.shape[1], span=np.kron(p, p))
+    return _null_space_program(x, z, p)
 
 
 def solve_lmi(prob: LmiProblem) -> SdpSolution:
-    """Solve an assembled program and recover the full set of multipliers."""
+    """Solve an assembled program and recover the full set of multipliers.
+
+    The gram matrix is lifted to vec coordinates as ``Q H' Q^T + (I - Q Q^T)``,
+    the gram duals as ``Q U Q^T`` and the curvature dual as ``K V K^T``.
+    """
     # Start from the identity gram matrix projected onto the null space.
     y0 = np.concatenate([[INITIAL_DELTA], prob.basis.T @ svec(np.eye(prob.dim_h))])
     res = _solve_cone(prob.cone, y0=y0)
     delta_raw = float(res.y[0])
     h = smat(prob.basis @ res.y[1:], prob.dim_h)
-    q = prob.jac.shape[1]
+    face = prob.face
     by_role = dict(zip(prob.roles, res.duals))
-    v = by_role.get("curvature", np.zeros((q, q)))
-    u1 = by_role["gram-lower"]
-    u2 = by_role["gram-upper"]
+    v = face @ by_role.get("curvature", np.zeros((face.shape[1],) * 2)) @ face.T
     dual = DualVariables(
-        y=_recover_multiplier(prob, v, by_role), u1=u1, u2=u2, v=v
+        y=_recover_multiplier(prob, v, by_role),
+        u1=_lift(by_role["gram-lower"]),
+        u2=_lift(by_role["gram-upper"]),
+        v=v,
     )
+    # Q H' Q^T + (I - Q Q^T): the identity off the symmetric subspace.
+    h = _lift(h - np.eye(prob.dim_h))
+    h += np.eye(h.shape[0])
     status = res.status
     if status == STATUS_OPTIMAL and delta_raw >= 1.0 - 1e-6:
         status = STATUS_NOT_BELOW_ONE
@@ -368,6 +389,26 @@ def _require_spurious(evec: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
         )
 
 
+def _lift(m: np.ndarray) -> np.ndarray:
+    """``Q M Q^T``: a matrix in svec coordinates as one in vec coordinates."""
+    q = sym_basis(svec_side(m.shape[0]))
+    return q @ m @ q.T
+
+
+def _face(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis K of the complement of ``{vec(x Omega) : Omega skew}``.
+
+    ``x Omega_ab`` for ``Omega_ab = E_ab - E_ba`` holds ``x_a`` in column
+    ``b`` and ``-x_b`` in column ``a``; for ``r = 1`` there are none, K = I.
+    """
+    n, r = x.shape
+    tangents = np.zeros((n * r, r * (r - 1) // 2))
+    for k, (a, b) in enumerate(itertools.combinations(range(r), 2)):
+        tangents[b * n : (b + 1) * n, k] = x[:, a]
+        tangents[a * n : (a + 1) * n, k] = -x[:, b]
+    return orth_complement(tangents)
+
+
 def _stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
     """Rows r_k with r_k . svec(H) = (jac^T H evec)_k."""
     outers = jac.T[:, :, None] * evec[None, None, :]
@@ -375,33 +416,46 @@ def _stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
 
 
 def _null_space_program(
-    jac: np.ndarray, evec: np.ndarray, r: int, span: np.ndarray | None = None
+    x: np.ndarray, z: np.ndarray, p: np.ndarray | None = None
 ) -> LmiProblem:
-    """Cone program in ``y = (delta, w)`` with ``svec(H) = N w``.
+    """Cone program in ``y = (delta, w)`` with ``svec(H') = N w``.
 
     ``N`` is an orthonormal basis of the null space of the stationarity
     rows: the complement of their span, counting singular values below
-    ``EQ_RANK_TOL`` times the largest as zero.  The H-coefficients of the
-    gram blocks are the matrices ``smat(N^T)``, taken through ``span``
-    when the bounds are restricted to a span, and those of the curvature
-    block are the Hessian form of the same stack.  A block constant in
-    ``y`` is dropped when PSD and makes the program infeasible otherwise;
-    it occurs when ``x`` and ``z`` are collinear and the null space is
-    empty.
+    ``EQ_RANK_TOL`` times the largest as zero.  The H'-coefficients of the
+    gram blocks are the matrices ``smat(N^T)``, taken through
+    ``Q_m^T (P kron P) Q_d`` when the bounds are restricted to the span
+    ``P``, and those of the curvature block are the Hessian form of the
+    same stack, restricted to the face ``K``.  A block constant in ``y``
+    is dropped when PSD and makes the program infeasible otherwise; it
+    occurs when ``x`` and ``z`` are collinear and the null space is empty.
     """
-    m = jac.shape[0]
+    m, r = x.shape
+    q = sym_basis(m)
+    jac = q.T @ jacobian_mat(x)
+    evec = svec(x @ x.T - z @ z.T)
+    _require_spurious(evec, x, z)
+    dim_h = svec_dim(m)
     basis = orth_complement(_stationarity_rows(jac, evec).T, rtol=EQ_RANK_TOL)
-    stack = smat(basis.T, m)
+    stack = smat(basis.T, dim_h)
+    span = None if p is None else q.T @ np.kron(p, p) @ sym_basis(p.shape[1])
     bounded = stack if span is None else span.T @ stack @ span
     eye = np.eye(bounded.shape[-1])
-    zero_q = np.zeros((jac.shape[1],) * 2)
+    # The Hessian form 2 I_r kron smat(H' e') + J'^T H' J', on the face.
+    curvature = jac.T @ stack @ jac
+    half = smat(stack @ evec, m)
+    for j in range(r):
+        curvature[:, j * m : (j + 1) * m, j * m : (j + 1) * m] += 2.0 * half
+    face = _face(x)
+    curvature = face.T @ curvature @ face
+    zero_q = np.zeros((face.shape[1],) * 2)
     blocks = [
-        ("curvature", zero_q, zero_q, curvature_form(jac, evec, stack, r)),
+        ("curvature", zero_q, zero_q, curvature),
         ("gram-lower", -eye, eye, bounded),
         ("gram-upper", eye, eye, -bounded),
     ]
     if span is not None:
-        cap, zero_m = NORM_CAP_RADIUS * np.eye(m), np.zeros((m, m))
+        cap, zero_m = NORM_CAP_RADIUS * np.eye(dim_h), np.zeros((dim_h, dim_h))
         blocks.append(("norm-cap-lower", cap, zero_m, stack))
         blocks.append(("norm-cap-upper", cap, zero_m, -stack))
     cone_blocks: list[ConeBlock] = []
@@ -421,13 +475,14 @@ def _null_space_program(
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0
     return LmiProblem(
-        dim_h=m,
+        dim_h=dim_h,
         cone=ConeProgram(c=c, blocks=cone_blocks),
         basis=basis,
         roles=roles,
         jac=jac,
         evec=evec,
         factor_rank=r,
+        face=face,
         span=span,
     )
 
@@ -439,12 +494,12 @@ def _recover_multiplier(
 
     The null-space coordinates leave the dual equation determined only up
     to the row space; the least-squares solve puts it back, scaled to match the
-    multiplier convention of the dual program.  Span-restricted gram
-    duals (and, when present, spectral-cap duals) are expanded to the
-    full dimension before the solve.
+    multiplier convention of the dual program.  It is solved in the svec
+    coordinates of ``H'``; span-restricted gram duals (and, when present,
+    spectral-cap duals) are expanded to the full dimension before the solve.
     """
     jac, evec, r = prob.jac, prob.evec, prob.factor_rank
-    t = vec(_block_trace(v, r))
+    t = svec(_block_trace(v, r))
     g = -(np.outer(t, evec) + np.outer(evec, t)) - jac @ v @ jac.T
     diff = by_role["gram-lower"] - by_role["gram-upper"]
     if prob.span is not None:

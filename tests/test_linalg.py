@@ -11,7 +11,9 @@ from ripsharp.linalg import (
     smat,
     svec,
     svec_dim,
+    svec_side,
     sym,
+    sym_basis,
     vec,
 )
 
@@ -63,6 +65,23 @@ def test_svec_batched():
     vs = svec(stack)
     assert vs.shape == (5, 6)
     assert np.allclose(smat(vs), stack, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_sym_basis_is_orthonormal_svec_map(n):
+    rng = np.random.default_rng(5)
+    q = sym_basis(n)
+    assert q.shape == (n * n, svec_dim(n))
+    assert svec_side(svec_dim(n)) == n
+    assert np.abs(q.T @ q - np.eye(svec_dim(n))).max() <= 1e-15
+    s = sym(rng.standard_normal((n, n)))
+    assert np.abs(q.T @ vec(s) - svec(s)).max() <= 1e-14
+    # the symmetric vectors are the whole range: Q Q^T fixes vec(S) ...
+    assert np.abs(q @ (q.T @ vec(s)) - vec(s)).max() <= 1e-14
+    # ... and annihilates vec of a skew matrix
+    k = rng.standard_normal((n, n))
+    assert np.abs(q.T @ vec(k - k.T)).max() <= 1e-14
+    assert sym_basis(n) is q and not q.flags.writeable
 
 
 def test_orth_basis_spans_input():

@@ -1,10 +1,15 @@
 """Tests for the minimum-RIP LMI reduction, solve, and certificates."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ripsharp import cli, sdp
 from ripsharp.errors import NotSpuriousError
-from ripsharp.linalg import mat, smat, svec, svec_dim, sym
+from ripsharp.linalg import mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
 from ripsharp.lmi import (
+    EQ_RANK_TOL,
+    INITIAL_DELTA,
     NORM_CAP_RADIUS,
     STATUS_NOT_BELOW_ONE,
     STATUS_OPTIMAL,
@@ -17,6 +22,7 @@ from ripsharp.lmi import (
     solve_lmi,
     verify_certificates,
 )
+from ripsharp.objective import curvature_form, jacobian_mat
 
 # frozen from an independent convex-programming solver
 SHARP_DELTA = 0.49999999999643974
@@ -86,18 +92,23 @@ def test_certificates_on_solved_pair():
 
 def test_boundary_gram_is_feasible():
     # delta = 1 with the projector complement of the residual satisfies
-    # every block, whatever the pair
+    # every block, whatever the pair.  On the symmetric subspace the
+    # residual is e' = svec(x x^T - z z^T) and H' has side d(d+1)/2.
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 1))
     z = rng.standard_normal((4, 1))
-    prob = build_upper_lmi(reduce(x, z))
-    e = prob.evec
-    h = np.eye(prob.dim_h) - np.outer(e, e) / float(e @ e)
+    pair = reduce(x, z)
+    prob = build_upper_lmi(pair)
+    resid = pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T
+    e = svec(resid)
+    h = np.eye(svec_dim(pair.d)) - np.outer(e, e) / float(e @ e)
     y = np.concatenate([[1.0], prob.basis.T @ svec(h)])
     for role, blk in zip(prob.roles, prob.cone.blocks):
         assert np.linalg.eigvalsh(blk.value(y))[0] >= -1e-12, role
-    # stationarity rows vanish as well
-    assert np.linalg.norm(prob.jac.T @ (h @ e)) <= 1e-12
+    # stationarity rows vanish as well, for H = Q H' Q^T in vec coordinates
+    q = sym_basis(pair.d)
+    grad = jacobian_mat(pair.xhat).T @ (q @ h @ q.T @ vec(resid))
+    assert np.linalg.norm(grad) <= 1e-12
 
 
 def test_certificates_flag_gram_violation():
@@ -183,42 +194,77 @@ def test_scaling_leaves_delta_invariant():
 
 
 def test_upper_problem_shapes():
+    # H' has side D = d(d+1)/2 and the curvature block dr - r(r-1)/2;
+    # d = 4 at (5, 2) and d = 6 at (6, 3)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((5, 2))
-    z = rng.standard_normal((5, 2))
-    pair = reduce(x, z)
-    prob = build_upper_lmi(pair)
-    assert prob.dim_h == pair.d**2
-    assert prob.evec.shape == (pair.d**2,)
-    assert prob.jac.shape == (pair.d**2, pair.d * pair.r)
-    assert prob.roles == ["curvature", "gram-lower", "gram-upper"]
-    assert prob.cone.block_sizes == (pair.d * pair.r, pair.d**2, pair.d**2)
-    assert prob.cone.num_vars == 1 + prob.basis.shape[1]
+    for shape, num_vars in (((5, 2), 49), ((6, 3), 217)):
+        x = rng.standard_normal(shape)
+        z = rng.standard_normal(shape)
+        pair = reduce(x, z)
+        prob = build_upper_lmi(pair)
+        d, r = pair.d, pair.r
+        side = svec_dim(d)
+        face = d * r - r * (r - 1) // 2
+        assert prob.dim_h == side
+        assert prob.evec.shape == (side,)
+        assert prob.jac.shape == (side, d * r)
+        assert prob.face.shape == (d * r, face)
+        assert prob.roles == ["curvature", "gram-lower", "gram-upper"]
+        assert prob.cone.block_sizes == (face, side, side)
+        assert prob.cone.num_vars == 1 + prob.basis.shape[1] == num_vars
 
 
-def _program(lower, seed):
+def _program(lower, seed, shape=(4, 2)):
+    """A program with the factors it constrains: (prob, x, z, span basis or None, rng)."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 2))
-    z = rng.standard_normal((4, 2))
+    x = rng.standard_normal(shape)
+    z = rng.standard_normal(shape)
     pair = reduce(x, z)
     if lower:
-        return build_lower_lmi(x, z, pair.p), np.kron(pair.p, pair.p), rng
-    return build_upper_lmi(pair), None, rng
+        return build_lower_lmi(x, z, pair.p), x, z, pair.p, rng
+    return build_upper_lmi(pair), pair.xhat, pair.zhat, None, rng
 
 
-def _explicit_blocks(prob, pp, delta, h):
-    """Every block of the program written out from its definition."""
-    jac, e, r = prob.jac, prob.evec, prob.factor_rank
-    side = jac.shape[1] // r
-    curvature = 2.0 * np.kron(np.eye(r), sym(mat(h @ e, (side, side)))) + jac.T @ h @ jac
-    bounded = h if pp is None else pp.T @ h @ pp
+def _vec_stack(prob, x):
+    """The null-space directions H'_k lifted to H_k = Q H'_k Q^T in vec coordinates."""
+    q = sym_basis(x.shape[0])
+    return q @ smat(prob.basis.T, prob.dim_h) @ q.T
+
+
+def _skew_tangents(x):
+    """vec(x Omega) for the skew basis matrices Omega = E_ab - E_ba, a < b."""
+    r = x.shape[1]
+    out = []
+    for a in range(r):
+        for b in range(a + 1, r):
+            omega = np.zeros((r, r))
+            omega[a, b], omega[b, a] = 1.0, -1.0
+            out.append(vec(x @ omega))
+    return np.array(out).reshape(-1, x.size)
+
+
+def _explicit_blocks(prob, x, z, p, delta, h):
+    """Every block of the program written out from its definition.
+
+    ``h`` is H' on the symmetric subspace; the curvature and gram forms
+    are those of the vec-coordinate program at H = Q H' Q^T, compressed
+    to the symmetric subspace and to the face.
+    """
+    n, r = x.shape
+    q = sym_basis(n)
+    h_vec = q @ h @ q.T
+    jac = jacobian_mat(x)
+    e = vec(x @ x.T - z @ z.T)
+    curvature = 2.0 * np.kron(np.eye(r), sym(mat(h_vec @ e, (n, n)))) + jac.T @ h_vec @ jac
+    span = q if p is None else np.kron(p, p) @ sym_basis(p.shape[1])
+    bounded = span.T @ h_vec @ span
     eye = np.eye(bounded.shape[0])
     blocks = {
-        "curvature": curvature,
+        "curvature": prob.face.T @ curvature @ prob.face,
         "gram-lower": bounded - (1.0 - delta) * eye,
         "gram-upper": (1.0 + delta) * eye - bounded,
     }
-    if pp is not None:
+    if p is not None:
         cap = NORM_CAP_RADIUS * np.eye(prob.dim_h)
         blocks["norm-cap-lower"] = cap + h
         blocks["norm-cap-upper"] = cap - h
@@ -227,13 +273,13 @@ def _explicit_blocks(prob, pp, delta, h):
 
 @pytest.mark.parametrize("lower", [False, True])
 def test_cone_blocks_match_explicit_forms(lower):
-    # at a random stationary H, the null-space coordinates reproduce each
+    # at a random stationary H', the null-space coordinates reproduce each
     # block of the program in (delta, H)
-    prob, pp, rng = _program(lower, 12)
+    prob, x, z, p, rng = _program(lower, 12)
     delta = 0.37
     h = smat(prob.basis @ rng.standard_normal(prob.basis.shape[1]), prob.dim_h)
     y = np.concatenate([[delta], prob.basis.T @ svec(h)])
-    expected = _explicit_blocks(prob, pp, delta, h)
+    expected = _explicit_blocks(prob, x, z, p, delta, h)
     assert prob.roles == list(expected)
     for role, blk in zip(prob.roles, prob.cone.blocks):
         want = expected[role]
@@ -242,14 +288,32 @@ def test_cone_blocks_match_explicit_forms(lower):
 
 @pytest.mark.parametrize("lower", [False, True])
 def test_null_space_basis_is_orthonormal_and_stationary(lower):
-    prob, _, _ = _program(lower, 13)
+    prob, x, z, _, _ = _program(lower, 13)
     basis = prob.basis
     assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-    # every basis direction H_k satisfies jac^T H_k e = 0 ...
-    stack = smat(basis.T, prob.dim_h)
-    assert np.abs(prob.jac.T @ stack @ prob.evec).max() <= 1e-12
-    # ... and the basis spans all of them: H -> jac^T H e has rank(jac)
-    assert basis.shape[1] == svec_dim(prob.dim_h) - np.linalg.matrix_rank(prob.jac)
+    # every basis direction lifts to an H_k with J^T H_k e = 0 in vec coordinates ...
+    jac = jacobian_mat(x)
+    e = vec(x @ x.T - z @ z.T)
+    assert np.abs(jac.T @ _vec_stack(prob, x) @ e).max() <= 1e-12
+    # ... and the basis spans all of them: H' -> jac'^T H' e' has rank(jac)
+    assert basis.shape[1] == svec_dim(prob.dim_h) - np.linalg.matrix_rank(jac)
+
+
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("shape", [(4, 2), (6, 3)], ids=["4x2", "6x3"])
+def test_curvature_face_drops_rotation_null_space(lower, shape):
+    prob, x, z, _, _ = _program(lower, 14, shape)
+    r = x.shape[1]
+    tangents = _skew_tangents(x)
+    # before reduction, every coefficient annihilates every vec(x Omega)
+    coeffs = curvature_form(jacobian_mat(x), vec(x @ x.T - z @ z.T), _vec_stack(prob, x), r)
+    for coeff in coeffs:
+        assert np.abs(coeff @ tangents.T).max() <= 1e-12 * np.abs(coeff).max()
+    # the face is an orthonormal basis of their complement
+    face = prob.face
+    assert face.shape == (x.size, x.size - r * (r - 1) // 2)
+    assert np.abs(face.T @ face - np.eye(face.shape[1])).max() <= 1e-12
+    assert np.abs(tangents @ face).max() <= 1e-12 * np.abs(tangents).max()
 
 
 def test_collinear_pair_keeps_only_gram_blocks():
@@ -258,3 +322,98 @@ def test_collinear_pair_keeps_only_gram_blocks():
     prob = build_upper_lmi(reduce(2.0 * z, z))
     assert prob.basis.shape[1] == 0
     assert prob.roles == ["gram-lower", "gram-upper"]
+
+
+def vec_program(pair):
+    """The delta LMI with the gram matrix on all of R^{d^2}, from its definition.
+
+    This is the formulation before the compression to the symmetric
+    subspace and the face of the curvature block: stationarity rows on
+    ``svec(H)`` of the ``d^2 x d^2`` matrix, the Hessian form and the two
+    gram blocks of side ``d^2``.  Returns the cone program and ``y0``.
+    """
+    x, z, r = pair.xhat, pair.zhat, pair.r
+    jac = jacobian_mat(x)
+    e = vec(x @ x.T - z @ z.T)
+    m, q = jac.shape
+    outers = jac.T[:, :, None] * e[None, None, :]
+    rows = svec(0.5 * (outers + outers.transpose(0, 2, 1)))
+    basis = orth_complement(rows.T, rtol=EQ_RANK_TOL)
+    stack = smat(basis.T, m)
+    eye = np.eye(m)
+    blocks = [
+        sdp.ConeBlock(
+            np.zeros((q, q)), np.concatenate([np.zeros((1, q, q)), curvature_form(jac, e, stack, r)])
+        ),
+        sdp.ConeBlock(-eye, np.concatenate([eye[None], stack])),
+        sdp.ConeBlock(eye, np.concatenate([eye[None], -stack])),
+    ]
+    c = np.zeros(1 + basis.shape[1])
+    c[0] = 1.0
+    y0 = np.concatenate([[INITIAL_DELTA], basis.T @ svec(eye)])
+    return sdp.ConeProgram(c=c, blocks=blocks), y0
+
+
+def _pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+def _certificate_bound(x, z, sol):
+    """1e-8 times the scale of the multipliers and of the residual x x^T - z z^T."""
+    dual = sol.dual
+    size = max(float(np.linalg.norm(m)) for m in (dual.y, dual.u1, dual.u2, dual.v))
+    return 1e-8 * max(1.0, size, float(np.linalg.norm(x @ x.T - z @ z.T)))
+
+
+SHAPES_AND_SEEDS = [(4, 1, 20), (4, 1, 21), (5, 2, 22), (5, 2, 23), (6, 3, 24), (6, 3, 25)]
+
+
+@pytest.mark.parametrize("n,r,seed", SHAPES_AND_SEEDS)
+def test_symmetric_program_matches_vec_program(n, r, seed):
+    x, z = _pair((n, r), seed)
+    sol = delta_exact(x, z)
+    # the same unit-residual scaling delta_exact applies
+    pair = reduce(x, z)
+    c = float(np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T)) ** -0.5
+    pair = dataclasses.replace(pair, xhat=c * pair.xhat, zhat=c * pair.zhat)
+    prog, y0 = vec_program(pair)
+    ref = sdp.solve(prog, y0=y0)
+    ref_delta = float(ref.y[0])
+    ref_status = ref.status
+    if ref_status == STATUS_OPTIMAL and ref_delta >= 1.0 - 1e-6:
+        ref_status = STATUS_NOT_BELOW_ONE
+    assert sol.status == ref_status
+    assert abs(sol.delta - min(ref_delta, 1.0)) <= max(1e-9, sol.gap, ref.gap)
+    # the symmetric program is smaller: side d(d+1)/2 against d^2
+    d = pair.d
+    assert prog.block_sizes[1] == d * d
+    assert build_upper_lmi(pair).cone.block_sizes[1] == svec_dim(d)
+
+
+@pytest.mark.parametrize("n,r,seed", SHAPES_AND_SEEDS)
+def test_lifted_solution_passes_certificates(n, r, seed):
+    x, z = _pair((n, r), seed)
+    sol = delta_exact(x, z)
+    pair = reduce(x, z)
+    d = pair.d
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.h.shape == sol.dual.u1.shape == sol.dual.u2.shape == (d * d, d * d)
+    assert sol.dual.v.shape == (d * r, d * r)
+    # the lifted gram matrix is the identity on vec of skew matrices
+    k = np.random.default_rng(seed).standard_normal((d, d))
+    skew = vec(k - k.T)
+    assert np.abs(sol.h @ skew - skew).max() <= 1e-12 * np.abs(skew).max()
+    rep = verify_certificates(sol, pair)
+    assert rep.max_violation() <= _certificate_bound(x, z, sol)
+
+
+@pytest.mark.parametrize("stream,index", [(4, 86), (2, 65), (4, 58), (6, 55), (8, 23), (10, 70), (14, 92)])
+def test_former_step_failures_are_certified(stream, index):
+    # (5, 2) ecdf samples that ended in a step failure, or stopped just
+    # above the gap floor, before the curvature block was facially reduced
+    x, z = cli.draw_pair(5, 2, stream, index)
+    sol = delta_exact(x, z)
+    assert sol.status == STATUS_OPTIMAL
+    rep = verify_certificates(sol, reduce(x, z))
+    assert rep.max_violation() <= _certificate_bound(x, z, sol)
