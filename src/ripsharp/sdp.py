@@ -142,14 +142,16 @@ def _residuals(prog, y, s_list, z_list, f_scale, c_scale):
 def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     """Run the interior-point method on ``prog``.
 
-    Stops as ``optimal`` once the duality gap is within ``GAP_TOL`` of
-    ``max(1, |pobj|, |dobj|)`` and both scaled infeasibilities are within
-    ``FEAS_TOL``; otherwise as ``max-iterations`` after
-    ``ITERATION_LIMIT`` iterations, or as ``step-failure`` when the
-    solver cannot continue.  In that last case the latest iterate at the
-    rounding floor (gap within ``STALL_GAP_TOL``, dual infeasibility
-    within ``STALL_DINF_TOL``), if any, is returned as ``optimal``.  The
-    duals are the per-block PSD multipliers.
+    Each iteration is one Mehrotra predictor and one corrector step.  The
+    solve stops as ``optimal`` once the duality gap is within ``GAP_TOL``
+    of ``max(1, |pobj|, |dobj|)`` and both scaled infeasibilities are
+    within ``FEAS_TOL``.  It stops short as ``step-failure`` when the NT
+    scaling or the Schur complement cannot be factored, or as
+    ``max-iterations`` after ``ITERATION_LIMIT`` iterations; then, of the
+    iterates at the rounding floor (gap within ``STALL_GAP_TOL``, primal
+    infeasibility within ``FEAS_TOL``, dual within ``STALL_DINF_TOL``),
+    the one with the smallest dual infeasibility, if any, is returned as
+    ``optimal``.  The duals are the per-block PSD multipliers.
     """
     p = prog.num_vars
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()
@@ -173,9 +175,8 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     c_scale = 1.0 + float(np.abs(prog.c).max(initial=0.0))
     f_scale = 1.0 + max(float(np.linalg.norm(b.f0)) for b in prog.blocks)
     status = MAX_ITERATIONS
-    small_steps = 0
     it = 0
-    floor = None
+    floor, floor_dinf = None, STALL_DINF_TOL
 
     for it in range(1, ITERATION_LIMIT + 1):
         rp_list, rd, gap, pinf, dinf, pobj, dobj = _residuals(
@@ -187,11 +188,11 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             status = OPTIMAL
             break
         # At degenerate optima the dual residual floors at the rounding
-        # level of the Newton system, a few orders above the target; an
-        # iterate is still accepted if complementarity and primal
-        # feasibility made it, should the solver be unable to continue.
-        if gap <= STALL_GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= STALL_DINF_TOL:
-            floor = (y, s_list, z_list)
+        # level of the Newton system, a few orders above the target, and
+        # then only gathers rounding; of the iterates where complementarity
+        # and primal feasibility made it, the one with the smallest is kept.
+        if gap <= STALL_GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= floor_dinf:
+            floor, floor_dinf = (y, s_list, z_list), dinf
 
         try:
             states = [_BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
@@ -226,26 +227,11 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             rc -= 0.5 * (cross + cross.T)
             rc_hats.append(rc)
         (dy, ds_list, dz_list), ap, ad = newton_step(rc_hats, STEP_SHRINK)
-        if min(ap, ad) < 0.05:
-            # Corrector got blocked near the boundary; retake a plain
-            # strongly-centered step, which always makes progress.
-            sigma = max(sigma, 0.8)
-            rc_hats = [sigma * mu * np.eye(st.lam.size) - np.diag(st.lam**2) for st in states]
-            (dy, ds_list, dz_list), ap, ad = newton_step(rc_hats, STEP_SHRINK)
-        if min(ap, ad) < 1e-8:
-            small_steps += 1
-            if small_steps >= 3:
-                status = STEP_FAILURE
-                break
-        else:
-            small_steps = 0
-
         y = y + ap * dy
         s_list = [sym(s + ap * ds) for s, ds in zip(s_list, ds_list)]
         z_list = [sym(z + ad * dz) for z, dz in zip(z_list, dz_list)]
 
-    if status == STEP_FAILURE and floor is not None:
-        # Iterates past the floor only gather rounding; return the last one at it.
+    if status != OPTIMAL and floor is not None:
         (y, s_list, z_list), status = floor, OPTIMAL
     _, _, gap, pinf, dinf, pobj, dobj = _residuals(prog, y, s_list, z_list, f_scale, c_scale)
     return SolveResult(

@@ -76,19 +76,23 @@ def test_sweep_config_validation(tmp_path):
 
 
 def test_ecdf_deterministic_and_prefix_stable(tmp_path):
-    short = tmp_path / "short.csv"
-    full = tmp_path / "full.csv"
-    args = ["ecdf", "--n", "4", "--r", "1", "--seed", "7"]
-    assert cli.main(args + ["--samples", "3", "--out", str(short)]) == 0
-    assert cli.main(args + ["--samples", "5", "--out", str(full)]) == 0
-    short_lines = short.read_text().splitlines()
-    full_lines = full.read_text().splitlines()
-    assert short_lines[0] == "sample_index,delta"
-    assert len(short_lines) == 4 and len(full_lines) == 6
-    # per-sample streams: the first three rows do not depend on the total
-    assert short_lines[1:] == full_lines[1:4]
-    deltas = [float(l.split(",")[1]) for l in full_lines[1:]]
-    assert all(0.5 - 1e-6 <= d <= 1.0 for d in deltas)
+    deltas = {}
+    for flags in ([], ["--general-z"]):
+        short = tmp_path / "short.csv"
+        full = tmp_path / "full.csv"
+        args = ["ecdf", "--n", "4", "--r", "1", "--seed", "7"] + flags
+        assert cli.main(args + ["--samples", "3", "--out", str(short)]) == 0
+        assert cli.main(args + ["--samples", "5", "--out", str(full)]) == 0
+        short_lines = short.read_text().splitlines()
+        full_lines = full.read_text().splitlines()
+        assert short_lines[0] == "sample_index,delta"
+        assert len(short_lines) == 4 and len(full_lines) == 6
+        # per-sample streams: the first three rows do not depend on the total
+        assert short_lines[1:] == full_lines[1:4]
+        deltas[tuple(flags)] = [float(l.split(",")[1]) for l in full_lines[1:]]
+        assert all(0.5 - 1e-6 <= d <= 1.0 for d in deltas[tuple(flags)])
+    # a dense Z is drawn in place of the diagonal one
+    assert deltas[()] != deltas[("--general-z",)]
 
 
 def test_delta_subcommand_polar(capsys):
@@ -146,6 +150,20 @@ def test_verify_global_minimum_branch(tmp_path, capsys):
     assert cli.main(["verify", "--instance", str(bundle), "--x", str(xfile)]) == 0
     outp = capsys.readouterr().out
     assert "global minimum" in outp.splitlines()[0]
+
+
+def test_verify_escape_direction_branch(tmp_path, capsys):
+    # x = 0 is critical for every instance, and the Hessian there is
+    # negative along z: its smallest eigenvalue is -4 on this instance
+    bundle = tmp_path / "bundle.json"
+    assert cli.main(["counterexample", "--n", "3", "--out", str(bundle)]) == 0
+    xfile = tmp_path / "x.txt"
+    np.savetxt(xfile, np.zeros(3))
+    capsys.readouterr()
+    assert cli.main(["verify", "--instance", str(bundle), "--x", str(xfile)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert "first-order critical with escape direction" in first
+    assert abs(float(first.split("lambda_min = ")[1]) + 4.0) <= 1e-6
 
 
 def test_verify_not_critical_branch(tmp_path, capsys):

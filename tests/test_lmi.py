@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ripsharp import cli, sdp
+from ripsharp.closedform import canonical_pair
 from ripsharp.errors import NotSpuriousError
 from ripsharp.linalg import mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
 from ripsharp.lmi import (
@@ -408,11 +409,31 @@ def test_lifted_solution_passes_certificates(n, r, seed):
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
 
 
-@pytest.mark.parametrize("stream,index", [(4, 86), (2, 65), (4, 58), (6, 55), (8, 23), (10, 70), (14, 92)])
+@pytest.mark.parametrize(
+    "stream,index",
+    [(4, 86), (2, 65), (4, 58), (6, 55), (8, 23), (10, 70), (14, 92)]
+    + [(3, 69), (6, 13), (8, 54), (12, 0), (6, 22), (9, 55)],
+)
 def test_former_step_failures_are_certified(stream, index):
     # (5, 2) ecdf samples that ended in a step failure, or stopped just
-    # above the gap floor, before the curvature block was facially reduced
+    # above the gap floor, before the curvature block was facially reduced;
+    # then those whose solve returned the latest iterate at the rounding
+    # floor, with a dual residual far above that of an earlier one
     x, z = cli.draw_pair(5, 2, stream, index)
+    sol = delta_exact(x, z)
+    assert sol.status == STATUS_OPTIMAL
+    rep = verify_certificates(sol, reduce(x, z))
+    assert rep.max_violation() <= _certificate_bound(x, z, sol)
+
+
+@pytest.mark.parametrize("rho,phi", [(1.4, 10), (1.9, 40), (1.7, 40), (1.8, 20), (1.7, 45)])
+def test_floor_sweep_points_are_certified(rho, phi):
+    # criterion-4 grid points whose solve ends at the rounding floor, at
+    # the values of cli.sweep_grid: these differ from the literals in the
+    # last bit, and the literals take another solver path
+    rho = float(np.linspace(0, 2, 21)[round(10 * rho)])
+    phi = float(np.linspace(0, 90, 19)[round(phi / 5)])
+    x, z = canonical_pair(rho, np.deg2rad(phi))
     sol = delta_exact(x, z)
     assert sol.status == STATUS_OPTIMAL
     rep = verify_certificates(sol, reduce(x, z))

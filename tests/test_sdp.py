@@ -3,7 +3,7 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.random import default_rng
 
-from ripsharp import sdp
+from ripsharp import closedform, lmi, sdp
 from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeBlock, ConeProgram, solve
 
 
@@ -137,6 +137,33 @@ def test_iteration_cap_reported(monkeypatch):
     res = solve(random_cone_program(3))
     assert res.status == MAX_ITERATIONS
     assert res.iterations == 2
+
+
+def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
+    # criterion-4 grid point (1.4, 10 deg): its solve reaches the rounding
+    # floor within 9 iterations, and later iterates have dual residuals up
+    # to 100x larger; every cap past that returns the best floor iterate
+    rho = float(np.linspace(0, 2, 21)[14])
+    phi_deg = float(np.linspace(0, 90, 19)[2])
+    seen = []
+
+    def capture(prog, y0=None):
+        seen.append((prog, y0))
+        return solve(prog, y0=y0)
+
+    # the cone program and start point delta_exact passes to sdp.solve
+    with monkeypatch.context() as m:
+        m.setattr(lmi, "_solve_cone", capture)
+        lmi.delta_exact(*closedform.canonical_pair(rho, np.deg2rad(phi_deg)))
+    prog, y0 = seen[0]
+    dinfs = []
+    for limit in range(9, 26):
+        monkeypatch.setattr(sdp, "ITERATION_LIMIT", limit)
+        res = solve(prog, y0=y0)
+        assert res.status == OPTIMAL, (limit, res.status)
+        assert res.dinf <= sdp.STALL_DINF_TOL
+        dinfs.append(res.dinf)
+    assert all(b <= a for a, b in zip(dinfs, dinfs[1:])), dinfs
 
 
 def test_final_gap_meets_stopping_rule():
