@@ -12,9 +12,12 @@ with ``d <= 2r``, and the optimum is unchanged.
 The columns of the Jacobian ``J`` and the residual ``e`` lie in
 ``vec(Sym_d)``, so the conditions see only ``H' = Q^T H Q`` for its
 orthonormal basis ``Q = sym_basis(d)``.  Compression keeps
-``(1 -/+ delta) I`` (Cauchy interlacing) and ``Q H' Q^T + (I - Q Q^T)``
-is feasible at the same delta, so the programs are posed on ``H'`` of
-side ``d(d+1)/2`` and their solutions lifted back.  The stationarity
+``(1 -/+ delta) I`` (Cauchy interlacing), and so does the extension
+rule ``B (M - I) B^T + I`` (``M`` on the span of the orthonormal columns
+of ``B``, the identity off it).  So the programs are posed on ``H'`` of
+side ``d(d+1)/2``: ``solve_lmi`` extends ``H'`` with ``B = Q``, and
+``verify_certificates`` and ``recover_minimizer`` extend ``H`` with
+``B = P kron P``.  The stationarity
 condition ``J'^T H' e' = 0`` (``J' = Q^T J``, ``e' = Q^T e``) is a set of
 linear rows on ``svec(H')``; each program is built in coordinates of
 their null space, ``svec(H') = N w`` for an orthonormal basis ``N``, so
@@ -144,7 +147,12 @@ class DualVariables:
 
 @dataclass
 class SdpSolution:
-    """Solved program: sharpest delta, gram matrix, and dual certificate."""
+    """Solved program: sharpest delta, gram matrix, and dual certificate.
+
+    ``h`` is in vec coordinates of the factors the program was built on (the
+    span basis, for ``delta_exact``) and is the identity off the symmetric
+    matrices; ``iterations`` counts the iterations run, as in ``sdp.solve``.
+    """
 
     delta: float
     h: np.ndarray
@@ -209,20 +217,17 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     """
     x = as_factor(x, "x")
     z = as_factor(z, "z")
-    if x.shape != z.shape:
-        raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != x.shape[0]:
-        raise ValueError("span basis rows must match the factor dimension")
-    if np.abs(p.T @ p - np.eye(p.shape[1])).max() > 1e-8:
-        raise ValueError("span basis is not orthonormal")
-    return _null_space_program(x, z, p)
+    if p.ndim != 2 or not p.shape[0] == x.shape[0] == z.shape[0]:
+        raise ValueError("span basis and factors must have the same number of rows")
+    pair = ReducedPair(p=p, xhat=p.T @ x, zhat=p.T @ z)
+    return _null_space_program(x, z, pair.p)
 
 
 def solve_lmi(prob: LmiProblem) -> SdpSolution:
     """Solve an assembled program and recover the full set of multipliers.
 
-    The gram matrix is lifted to vec coordinates as ``Q H' Q^T + (I - Q Q^T)``,
+    The gram matrix is lifted to vec coordinates as ``Q (H' - I) Q^T + I``,
     the gram duals as ``Q U Q^T`` and the curvature dual as ``K V K^T``.
     """
     # Start from the identity gram matrix projected onto the null space.
@@ -230,18 +235,18 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
     res = _solve_cone(prob.cone, y0=y0)
     delta_raw = float(res.y[0])
     h = smat(prob.basis @ res.y[1:], prob.dim_h)
+    h = _extend(h, sym_basis(svec_side(prob.dim_h)))
     face = prob.face
     by_role = dict(zip(prob.roles, res.duals))
     v = face @ by_role.get("curvature", np.zeros((face.shape[1],) * 2)) @ face.T
+    # The gram blocks are of side dim_h, or d(d+1)/2 when restricted to a span.
+    q = sym_basis(svec_side(by_role["gram-lower"].shape[0]))
     dual = DualVariables(
         y=_recover_multiplier(prob, v, by_role),
-        u1=_lift(by_role["gram-lower"]),
-        u2=_lift(by_role["gram-upper"]),
+        u1=q @ by_role["gram-lower"] @ q.T,
+        u2=q @ by_role["gram-upper"] @ q.T,
         v=v,
     )
-    # Q H' Q^T + (I - Q Q^T): the identity off the symmetric subspace.
-    h = _lift(h - np.eye(prob.dim_h))
-    h += np.eye(h.shape[0])
     status = res.status
     if status == STATUS_OPTIMAL and delta_raw >= 1.0 - 1e-6:
         status = STATUS_NOT_BELOW_ONE
@@ -279,100 +284,65 @@ def delta_exact(x: np.ndarray, z: np.ndarray) -> SdpSolution:
 
 
 def recover_minimizer(sol: SdpSolution, pair: ReducedPair) -> MeasurementOperator:
-    """Measurement operator whose gram matrix lifts the solved one.
+    """Measurement operator whose gram matrix is the solved one extended.
 
-    The rows are the factor of the solved gram matrix pushed through the
-    span basis, padded with the mixed and complementary products of the
-    basis and its orthogonal complement, so that ``A^T A`` equals the
-    solved matrix on the span and the identity off it.  The row count is
+    With ``B = P kron P``, the rows are a factor of the solved gram matrix
+    pushed through ``B``, stacked on an orthonormal basis of the
+    complement of ``B``'s columns, so ``A^T A = B (H - I) B^T + I``: ``H``
+    on the span and the identity off it.  The row count is
     ``rank(H) + n^2 - d^2``.
     """
     if sol.status != STATUS_OPTIMAL:
         raise ValueError(f"minimizer requires an optimal solution, got {sol.status!r}")
-    p = pair.p
-    n, d = p.shape
-    ahat = factor_gram(sol.h)
-    mats = ahat.reshape(-1, d, d).transpose(0, 2, 1)
-    lifted = np.einsum("ij,ajk,lk->ail", p, mats, p)
-    rows_span = lifted.transpose(0, 2, 1).reshape(-1, n * n)
-    perp = orth_complement(p)
-    stacked = np.vstack(
-        [
-            rows_span,
-            np.kron(p, perp).T,
-            np.kron(perp, p).T,
-            np.kron(perp, perp).T,
-        ]
-    )
-    return MeasurementOperator.from_stacked(stacked, n)
+    pp = np.kron(pair.p, pair.p)
+    rows = np.vstack([factor_gram(sol.h) @ pp.T, orth_complement(pp).T])
+    return MeasurementOperator.from_stacked(rows, pair.n)
 
 
 def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateReport:
     """Residuals of every feasibility row the solution claims to satisfy.
 
-    Checks the reduced-dimension primal rows, the dual rows when a dual
-    is attached, and the same rows after lifting the solution to the
-    ambient dimension through the pair's span basis (gram matrix extended
-    by the identity off the span, multipliers pushed through the basis).
+    Checks the primal rows, and the dual rows when a dual is attached, in
+    two frames: the reduced one (basis ``I_d``) and the ambient one (basis
+    ``P``, keys prefixed ``lift-``).  In each, the factors are ``B xhat``
+    and ``B zhat``, the gram matrix is extended through ``B kron B`` and
+    the multipliers are pushed through ``B kron B`` and ``I_r kron B``.
     Pure report: nothing is thresholded away, nothing raises.
     """
     r = pair.r
     h = sym(np.asarray(primal.h, dtype=float))
     delta = float(primal.delta)
-    jac = jacobian_mat(pair.xhat)
-    evec = vec(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T)
-    checks = _primal_checks(jac, evec, h, delta, r, prefix="")
-    gap = None
     dual = primal.dual
-    if dual is not None:
-        checks.update(_dual_checks(jac, evec, dual, r, prefix=""))
-        gap = delta - float(np.trace(dual.u1) - np.trace(dual.u2))
-
-    # The same solution, expanded to the ambient dimension.
-    p = pair.p
-    n = pair.n
-    pp = np.kron(p, p)
-    ip = np.kron(np.eye(r), p)
-    x = p @ pair.xhat
-    z = p @ pair.zhat
-    jac_full = jacobian_mat(x)
-    e_full = vec(x @ x.T - z @ z.T)
-    checks["lift-residual"] = float(np.abs(e_full - pp @ evec).max())
-    checks["lift-jacobian"] = float(np.abs(jac_full @ ip - pp @ jac).max())
-    h_full = pp @ h @ pp.T + np.eye(n * n) - pp @ pp.T
-    checks.update(_primal_checks(jac_full, e_full, h_full, delta, r, prefix="lift-"))
-    if dual is not None:
-        lifted = DualVariables(
-            y=ip @ dual.y,
-            u1=pp @ dual.u1 @ pp.T,
-            u2=pp @ dual.u2 @ pp.T,
-            v=ip @ dual.v @ ip.T,
-        )
-        checks.update(_dual_checks(jac_full, e_full, lifted, r, prefix="lift-"))
+    checks: dict[str, float] = {}
+    for prefix, b in (("", np.eye(pair.d)), ("lift-", pair.p)):
+        bb, ib = np.kron(b, b), np.kron(np.eye(r), b)
+        x, z = b @ pair.xhat, b @ pair.zhat
+        jac, evec = jacobian_mat(x), vec(x @ x.T - z @ z.T)
+        if prefix:
+            checks["lift-residual"] = float(np.abs(evec - bb @ evec_d).max())
+            checks["lift-jacobian"] = float(np.abs(jac @ ib - bb @ jac_d).max())
+        else:
+            jac_d, evec_d = jac, evec
+        hb = _extend(h, bb)
+        gram_eigs = np.linalg.eigvalsh(sym(hb))
+        curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac, evec, hb, r)))
+        checks[prefix + "stationarity"] = float(np.abs(jac.T @ (hb @ evec)).max())
+        checks[prefix + "curvature-psd"] = max(0.0, -float(curv_eigs[0]))
+        checks[prefix + "gram-lower"] = max(0.0, (1.0 - delta) - float(gram_eigs[0]))
+        checks[prefix + "gram-upper"] = max(0.0, float(gram_eigs[-1]) - (1.0 + delta))
+        if dual is None:
+            continue
+        y, v = ib @ dual.y, sym(ib @ dual.v @ ib.T)
+        u1, u2 = sym(bb @ dual.u1 @ bb.T), sym(bb @ dual.u2 @ bb.T)
+        s = r * (jac @ y) - vec(_block_trace(v, r))
+        lhs = np.outer(s, evec) + np.outer(evec, s) - jac @ v @ jac.T
+        checks[prefix + "dual-trace"] = abs(float(np.trace(u1) + np.trace(u2)) - 1.0)
+        checks[prefix + "dual-equation"] = float(np.abs(lhs - (u1 - u2)).max())
+        for name, m in (("curvature", v), ("gram-lower", u1), ("gram-upper", u2)):
+            floor = float(np.linalg.eigvalsh(m)[0])
+            checks[f"{prefix}dual-{name}-psd"] = max(0.0, -floor)
+    gap = None if dual is None else delta - float(np.trace(dual.u1) - np.trace(dual.u2))
     return CertificateReport(checks=checks, gap=gap)
-
-
-def _primal_checks(jac, evec, h, delta, r, prefix):
-    curvature = curvature_form(jac, evec, h, r)
-    eigs = np.linalg.eigvalsh(sym(h))
-    return {
-        prefix + "stationarity": float(np.abs(jac.T @ (h @ evec)).max()),
-        prefix + "curvature-psd": max(0.0, -float(np.linalg.eigvalsh(sym(curvature))[0])),
-        prefix + "gram-lower": max(0.0, (1.0 - delta) - float(eigs[0])),
-        prefix + "gram-upper": max(0.0, float(eigs[-1]) - (1.0 + delta)),
-    }
-
-
-def _dual_checks(jac, evec, dual, r, prefix):
-    s = r * (jac @ dual.y) - vec(_block_trace(dual.v, r))
-    lhs = np.outer(s, evec) + np.outer(evec, s) - jac @ dual.v @ jac.T
-    return {
-        prefix + "dual-trace": abs(float(np.trace(dual.u1) + np.trace(dual.u2)) - 1.0),
-        prefix + "dual-equation": float(np.abs(lhs - (dual.u1 - dual.u2)).max()),
-        prefix + "dual-curvature-psd": max(0.0, -float(np.linalg.eigvalsh(dual.v)[0])),
-        prefix + "dual-gram-lower-psd": max(0.0, -float(np.linalg.eigvalsh(dual.u1)[0])),
-        prefix + "dual-gram-upper-psd": max(0.0, -float(np.linalg.eigvalsh(dual.u2)[0])),
-    }
 
 
 def _block_trace(v: np.ndarray, r: int) -> np.ndarray:
@@ -389,10 +359,9 @@ def _require_spurious(evec: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
         )
 
 
-def _lift(m: np.ndarray) -> np.ndarray:
-    """``Q M Q^T``: a matrix in svec coordinates as one in vec coordinates."""
-    q = sym_basis(svec_side(m.shape[0]))
-    return q @ m @ q.T
+def _extend(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``B (M - I) B^T + I``: ``M`` on the span of B's orthonormal columns, I off it."""
+    return b @ (m - np.eye(m.shape[0])) @ b.T + np.eye(b.shape[0])
 
 
 def _face(x: np.ndarray) -> np.ndarray:

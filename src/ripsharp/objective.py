@@ -168,30 +168,23 @@ def evaluate(
 
 
 def criticality_certificate(
-    inst: RecoveryInstance,
-    x: np.ndarray,
-    tol_g: float | None = None,
-    tol_h: float | None = None,
+    inst: RecoveryInstance, x: np.ndarray
 ) -> CriticalityCertificate:
     """Check approximate second-order stationarity of ``x``.
 
-    Default tolerances scale with the operator norm and residual size so
-    that exact critical points pass under floating-point noise.
+    The tolerances scale with the operator norm and residual size so that
+    exact critical points pass under floating-point noise.
     """
     x = _as_factor(inst, x)
     f, grad, hess = evaluate(inst, x)
     op_sq = float(np.linalg.norm(inst.operator.stacked, 2) ** 2)
     e_norm = float(np.linalg.norm(residual_vec(inst, x)))
-    if tol_g is None:
-        tol_g = 1e-8 * (1.0 + op_sq * e_norm)
-    if tol_h is None:
-        tol_h = 1e-8 * (1.0 + op_sq)
     return CriticalityCertificate(
         f_value=f,
         grad_norm=float(np.linalg.norm(grad)),
         hess_min_eig=float(np.linalg.eigvalsh(hess)[0]),
-        tol_g=tol_g,
-        tol_h=tol_h,
+        tol_g=1e-8 * (1.0 + op_sq * e_norm),
+        tol_h=1e-8 * (1.0 + op_sq),
     )
 
 

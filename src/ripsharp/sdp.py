@@ -86,6 +86,8 @@ class ConeProgram:
 
 @dataclass
 class SolveResult:
+    """What :func:`solve` returns; ``iterations`` counts the iterations run."""
+
     y: np.ndarray
     duals: list[np.ndarray]
     gap: float
@@ -151,7 +153,8 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     iterates at the rounding floor (gap within ``STALL_GAP_TOL``, primal
     infeasibility within ``FEAS_TOL``, dual within ``STALL_DINF_TOL``),
     the one with the smallest dual infeasibility, if any, is returned as
-    ``optimal``.  The duals are the per-block PSD multipliers.
+    ``optimal``; ``iterations`` still counts all iterations run, so it
+    exceeds that iterate's index.  The duals are the per-block PSD multipliers.
     """
     p = prog.num_vars
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()

@@ -76,6 +76,26 @@ def test_reduced_and_ambient_optima_agree(seed, shape):
     assert abs(up.gap) <= 1e-7 and abs(lo.gap) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "case,match",
+    [("not-orthonormal", "orthonormal"), ("p-rows", "rows"), ("z-rows", "rows"),
+     ("ranks", "shape")],
+)
+def test_lower_program_rejects_bad_span(case, match):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((4, 2))
+    z = rng.standard_normal((4, 2))
+    p = reduce(x, z).p
+    args = {
+        "not-orthonormal": (x, z, 2.0 * p),
+        "p-rows": (x, z, p[:3]),
+        "z-rows": (x, z[:3], p),
+        "ranks": (x, z[:, :1], p),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        build_lower_lmi(*args)
+
+
 def test_certificates_on_solved_pair():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 1))
@@ -157,12 +177,8 @@ def test_zero_candidate_hits_unit_bound():
     assert sol.delta == 1.0
 
 
-def test_recovered_operator_matches_gram():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((4, 1))
-    z = rng.standard_normal((4, 1))
-    sol = delta_exact(x, z)
-    pair = reduce(x, z)
+def _check_recovered(sol, pair):
+    """The operator's gram is ``sol.h`` on the span and the identity off it."""
     op = recover_minimizer(sol, pair)
     n = pair.n
     pp = np.kron(pair.p, pair.p)
@@ -170,6 +186,30 @@ def test_recovered_operator_matches_gram():
     assert np.linalg.norm(op.gram - h_full) <= 1e-10
     rank = int(np.sum(np.linalg.eigvalsh(sol.h) > 1e-9))
     assert op.m == rank + n * n - pair.d**2
+    return op
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (5, 2), (6, 3)], ids=["4x1", "5x2", "6x3"])
+def test_recovered_operator_matches_gram(shape):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(shape)
+    z = rng.standard_normal(shape)
+    sol = delta_exact(x, z)
+    assert sol.status == STATUS_OPTIMAL
+    _check_recovered(sol, reduce(x, z))
+
+
+def test_recovered_operator_from_singular_gram():
+    # a rank-2 PSD gram matrix with an exactly zero Cholesky pivot, so the
+    # factor comes from factor_gram's eigenvalue path, with two rows
+    rng = np.random.default_rng(8)
+    pair = reduce(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)))
+    g = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
+    sol = SdpSolution(delta=0.5, h=g @ g.T, dual=None, gap=0.0, status=STATUS_OPTIMAL)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(sol.h)
+    op = _check_recovered(sol, pair)
+    assert op.m == 2 + pair.n**2 - pair.d**2
 
 
 def test_recover_requires_optimal():

@@ -156,12 +156,15 @@ def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
         m.setattr(lmi, "_solve_cone", capture)
         lmi.delta_exact(*closedform.canonical_pair(rho, np.deg2rad(phi_deg)))
     prog, y0 = seen[0]
+    uncapped = solve(prog, y0=y0).iterations
     dinfs = []
     for limit in range(9, 26):
         monkeypatch.setattr(sdp, "ITERATION_LIMIT", limit)
         res = solve(prog, y0=y0)
         assert res.status == OPTIMAL, (limit, res.status)
         assert res.dinf <= sdp.STALL_DINF_TOL
+        # iterations counts the iterations run, not the returned iterate's index
+        assert res.iterations == min(limit, uncapped), (limit, res.iterations)
         dinfs.append(res.dinf)
     assert all(b <= a for a, b in zip(dinfs, dinfs[1:])), dinfs
 
