@@ -30,21 +30,24 @@ The curvature block is restricted to the orthogonal complement ``K`` of
 those vectors (facial reduction, Borwein and Wolkowicz 1981), which
 gives it an interior.
 
-A companion program keeps ``H`` in the ambient dimension but imposes the
-isometry bounds only on a chosen span, which can only lower the optimum;
-for the joint span of ``x`` and ``z`` the two optima coincide, which is
-what makes the reduced program exact rather than merely an upper bound.
+Every program is built one way, for factors with any number of rows:
+the reduced pair (``build_upper_lmi``) or the same pair lifted back to
+the ambient dimension (``build_lower_lmi``, with bounds on all of
+``H``).  The reduction is exact, so the two optima coincide; the
+ambient program is the independent cross-check of that claim.  The
+builder first scales the pair to a residual ``x x^T - z z^T`` of unit
+norm, which leaves delta unchanged, and ``solve_lmi`` maps the
+multipliers back to the given scale.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSpuriousError, SolverError
+from .errors import NotSpuriousError
 from .linalg import as_factor, factor_gram, orth_basis, orth_complement, smat, svec
 from .linalg import svec_dim, svec_side, sym, sym_basis, vec
 from .objective import MeasurementOperator, curvature_form, jacobian_mat
@@ -55,12 +58,6 @@ from .sdp import ConeBlock, ConeProgram
 from .sdp import solve as _solve_cone
 
 STATUS_NOT_BELOW_ONE = "infeasible-at-delta-below-one"
-
-# Spectral cap on the gram variable of span-restricted programs.  Any
-# optimal gram matrix satisfies ||H||_2 <= 1 + delta <= 2, so the cap
-# never binds at an optimum; it only keeps the feasible set bounded in
-# the directions the isometry bounds no longer see.
-NORM_CAP_RADIUS = 8.0
 
 # Threshold for dropping linearly dependent stationarity rows.
 EQ_RANK_TOL = 1e-10
@@ -106,20 +103,19 @@ class ReducedPair:
 class LmiProblem:
     """Minimize delta over the stationary gram matrices, as one cone program.
 
-    ``H'`` is the gram matrix on the symmetric subspace, of side
-    ``dim_h = m(m+1)/2`` for factors with ``m`` rows; ``jac = Q^T J`` and
-    ``evec = svec(x x^T - z z^T)`` are in the same svec coordinates.  The
-    orthonormal columns of ``basis`` span the ``svec(H')`` that satisfy
-    the stationarity rows ``jac^T H' evec = 0``, and ``cone`` is posed in
+    The program is posed for the factors scaled by ``scale``, which gives
+    ``x x^T - z z^T`` unit norm.  ``H'`` is the gram matrix on the
+    symmetric subspace, of side ``dim_h = m(m+1)/2`` for factors with
+    ``m`` rows; ``jac = Q^T J`` and ``evec = svec(x x^T - z z^T)`` are in
+    the same svec coordinates, at the scaled factors.  The orthonormal
+    columns of ``basis`` span the ``svec(H')`` that satisfy the
+    stationarity rows ``jac^T H' evec = 0``, and ``cone`` is posed in
     ``y = (delta, w)`` with ``svec(H') = basis @ w``; its objective is
     delta.  ``roles[k]`` names block ``k`` of ``cone`` (``curvature``,
-    ``gram-lower``, ``gram-upper`` and, for span-restricted programs,
-    ``norm-cap-lower``/``norm-cap-upper``); blocks constant in ``y``
-    were checked PSD and dropped.  The curvature block is compressed to
-    the orthonormal columns of ``face`` (``K``, ``m r - r(r-1)/2`` of
-    them).  ``jac``, ``evec``, ``face`` and ``span`` (the map
-    ``Q_m^T (P kron P) Q_d`` of a span-restricted program) are kept so
-    the multipliers can be recovered.
+    ``gram-lower``, ``gram-upper``); the curvature block is dropped when
+    it is zero.  It is compressed to the orthonormal columns of ``face``
+    (``K``, ``m r - r(r-1)/2`` of them).  ``jac``, ``evec``, ``face``
+    and ``scale`` are kept so the multipliers can be recovered.
     """
 
     dim_h: int
@@ -130,7 +126,7 @@ class LmiProblem:
     evec: np.ndarray
     factor_rank: int
     face: np.ndarray
-    span: np.ndarray | None = None
+    scale: float
 
 
 class DualVariables:
@@ -204,16 +200,14 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
 
 
 def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
-    """Ambient-dimension program with isometry bounds only on a given span.
+    """The exact program in the ambient dimension, with bounds on all of H.
 
-    The stationarity and curvature constraints are those of
-    :func:`build_upper_lmi` in the ambient dimension, but the gram
-    blocks only constrain ``(P kron P)^T H (P kron P)``, so the optimum
-    can only drop below the exact value.  A pair of spectral-cap blocks
-    bounds the directions of ``H`` the gram blocks no longer see; the cap
-    is slack at every optimum with ``||H||_2 <= 2`` and therefore does
-    not change the value whenever such an optimum exists (always the case
-    when ``p`` spans both factors).
+    ``p`` must have orthonormal columns, as ``reduce(x, z).p`` has.  The
+    program is that of :func:`build_upper_lmi` for the projected pair
+    lifted back to ``n`` rows, ``(P xhat, P zhat)``; when ``p`` spans both
+    factors, that is ``(x, z)``.  Its optimum then equals the reduced one,
+    which makes it a cross-check of the reduction.  Its solution is in vec
+    coordinates of ``R^n``.
     """
     x = as_factor(x, "x")
     z = as_factor(z, "z")
@@ -221,7 +215,7 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     if p.ndim != 2 or not p.shape[0] == x.shape[0] == z.shape[0]:
         raise ValueError("span basis and factors must have the same number of rows")
     pair = ReducedPair(p=p, xhat=p.T @ x, zhat=p.T @ z)
-    return _null_space_program(x, z, pair.p)
+    return _null_space_program(pair.p @ pair.xhat, pair.p @ pair.zhat)
 
 
 def solve_lmi(prob: LmiProblem) -> SdpSolution:
@@ -229,23 +223,24 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
 
     The gram matrix is lifted to vec coordinates as ``Q (H' - I) Q^T + I``,
     the gram duals as ``Q U Q^T`` and the curvature dual as ``K V K^T``.
+    The multipliers of the scaled program are mapped back to the given
+    factors: ``y`` by ``scale^3`` and ``V`` by ``scale^2``.
     """
     # Start from the identity gram matrix projected onto the null space.
     y0 = np.concatenate([[INITIAL_DELTA], prob.basis.T @ svec(np.eye(prob.dim_h))])
     res = _solve_cone(prob.cone, y0=y0)
     delta_raw = float(res.y[0])
-    h = smat(prob.basis @ res.y[1:], prob.dim_h)
-    h = _extend(h, sym_basis(svec_side(prob.dim_h)))
+    q = sym_basis(svec_side(prob.dim_h))
+    h = _extend(smat(prob.basis @ res.y[1:], prob.dim_h), q)
     face = prob.face
     by_role = dict(zip(prob.roles, res.duals))
     v = face @ by_role.get("curvature", np.zeros((face.shape[1],) * 2)) @ face.T
-    # The gram blocks are of side dim_h, or d(d+1)/2 when restricted to a span.
-    q = sym_basis(svec_side(by_role["gram-lower"].shape[0]))
+    c = prob.scale
     dual = DualVariables(
-        y=_recover_multiplier(prob, v, by_role),
+        y=c**3 * _recover_multiplier(prob, v, by_role),
         u1=q @ by_role["gram-lower"] @ q.T,
         u2=q @ by_role["gram-upper"] @ q.T,
-        v=v,
+        v=c**2 * sym(v),
     )
     status = res.status
     if status == STATUS_OPTIMAL and delta_raw >= 1.0 - 1e-6:
@@ -263,24 +258,10 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
 def delta_exact(x: np.ndarray, z: np.ndarray) -> SdpSolution:
     """Sharpest isometry constant admitting ``x`` as a spurious critical point.
 
-    Solves the reduced program on the joint span after rescaling both
-    factors so the lifted residual has unit norm; the optimum is
-    invariant under that rescaling, and the returned multipliers are
-    mapped back to the original scale.  The gram matrix refers to the
-    span basis of ``reduce(x, z)``.
+    Solves the reduced program on the joint span.  The gram matrix and
+    the multipliers refer to the span basis of ``reduce(x, z)``.
     """
-    pair = reduce(x, z)
-    e_norm = float(np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
-    # A zero residual is left unscaled for build_upper_lmi to reject; after
-    # scaling, its relative test no longer depends on the input scale.
-    c = e_norm**-0.5 if e_norm else 1.0
-    scaled = dataclasses.replace(pair, xhat=c * pair.xhat, zhat=c * pair.zhat)
-    sol = solve_lmi(build_upper_lmi(scaled))
-    dual = sol.dual
-    return dataclasses.replace(
-        sol,
-        dual=DualVariables(y=c**3 * dual.y, u1=dual.u1, u2=dual.u2, v=c**2 * dual.v),
-    )
+    return solve_lmi(build_upper_lmi(reduce(x, z)))
 
 
 def recover_minimizer(sol: SdpSolution, pair: ReducedPair) -> MeasurementOperator:
@@ -351,14 +332,6 @@ def _block_trace(v: np.ndarray, r: int) -> np.ndarray:
     return sum(v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r))
 
 
-def _require_spurious(evec: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
-    scale = max(float(np.sum(x * x)), float(np.sum(z * z)), 1.0)
-    if float(np.linalg.norm(evec)) <= 1e-12 * scale:
-        raise NotSpuriousError(
-            "x x^T equals z z^T; every operator makes x a global optimum"
-        )
-
-
 def _extend(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``B (M - I) B^T + I``: ``M`` on the span of B's orthonormal columns, I off it."""
     return b @ (m - np.eye(m.shape[0])) @ b.T + np.eye(b.shape[0])
@@ -384,32 +357,35 @@ def _stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
     return svec(0.5 * (outers + outers.transpose(0, 2, 1)))
 
 
-def _null_space_program(
-    x: np.ndarray, z: np.ndarray, p: np.ndarray | None = None
-) -> LmiProblem:
+def _null_space_program(x: np.ndarray, z: np.ndarray) -> LmiProblem:
     """Cone program in ``y = (delta, w)`` with ``svec(H') = N w``.
 
-    ``N`` is an orthonormal basis of the null space of the stationarity
-    rows: the complement of their span, counting singular values below
-    ``EQ_RANK_TOL`` times the largest as zero.  The H'-coefficients of the
-    gram blocks are the matrices ``smat(N^T)``, taken through
-    ``Q_m^T (P kron P) Q_d`` when the bounds are restricted to the span
-    ``P``, and those of the curvature block are the Hessian form of the
-    same stack, restricted to the face ``K``.  A block constant in ``y``
-    is dropped when PSD and makes the program infeasible otherwise; it
-    occurs when ``x`` and ``z`` are collinear and the null space is empty.
+    The factors are first scaled by ``||x x^T - z z^T||^(-1/2)``, which
+    gives the residual unit norm and leaves delta unchanged; a residual
+    below ``1e-12 max(||x||^2, ||z||^2)`` means ``x x^T = z z^T``, and no
+    program exists.  ``N`` is an orthonormal basis of the null space of
+    the stationarity rows: the complement of their span, counting singular
+    values below ``EQ_RANK_TOL`` times the largest as zero.  The
+    H'-coefficients of the gram blocks are the matrices ``smat(N^T)``, and
+    those of the curvature block are the Hessian form of the same stack,
+    restricted to the face ``K``.  The curvature block is zero, and
+    dropped, when ``x`` and ``z`` are collinear and the null space is empty.
     """
     m, r = x.shape
+    e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
+    if e_norm <= 1e-12 * max(float(np.sum(x * x)), float(np.sum(z * z))):
+        raise NotSpuriousError(
+            "x x^T equals z z^T; every operator makes x a global optimum"
+        )
+    scale = e_norm**-0.5
+    x, z = scale * x, scale * z
     q = sym_basis(m)
     jac = q.T @ jacobian_mat(x)
     evec = svec(x @ x.T - z @ z.T)
-    _require_spurious(evec, x, z)
     dim_h = svec_dim(m)
     basis = orth_complement(_stationarity_rows(jac, evec).T, rtol=EQ_RANK_TOL)
     stack = smat(basis.T, dim_h)
-    span = None if p is None else q.T @ np.kron(p, p) @ sym_basis(p.shape[1])
-    bounded = stack if span is None else span.T @ stack @ span
-    eye = np.eye(bounded.shape[-1])
+    eye = np.eye(dim_h)
     # The Hessian form 2 I_r kron smat(H' e') + J'^T H' J', on the face.
     curvature = jac.T @ stack @ jac
     half = smat(stack @ evec, m)
@@ -420,39 +396,27 @@ def _null_space_program(
     zero_q = np.zeros((face.shape[1],) * 2)
     blocks = [
         ("curvature", zero_q, zero_q, curvature),
-        ("gram-lower", -eye, eye, bounded),
-        ("gram-upper", eye, eye, -bounded),
+        ("gram-lower", -eye, eye, stack),
+        ("gram-upper", eye, eye, -stack),
     ]
-    if span is not None:
-        cap, zero_m = NORM_CAP_RADIUS * np.eye(dim_h), np.zeros((dim_h, dim_h))
-        blocks.append(("norm-cap-lower", cap, zero_m, stack))
-        blocks.append(("norm-cap-upper", cap, zero_m, -stack))
-    cone_blocks: list[ConeBlock] = []
-    roles: list[str] = []
-    for name, base, delta_coeff, h_coeffs in blocks:
-        coeffs = np.concatenate([delta_coeff[None], h_coeffs])
-        if np.abs(coeffs).max(initial=0.0) <= 1e-12:
-            # Constant block: vacuous if PSD, contradictory otherwise.
-            floor = float(np.linalg.eigvalsh(base)[0])
-            if floor < -1e-9 * max(1.0, float(np.linalg.norm(base, 2))):
-                raise SolverError(f"block {name!r} is constant and not PSD")
-            continue
-        cone_blocks.append(ConeBlock(f0=base, coeffs=coeffs))
-        roles.append(name)
-    if not cone_blocks:
-        raise SolverError("every constraint block is vacuous")
+    if np.abs(curvature).max(initial=0.0) <= 1e-12:
+        del blocks[0]
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0
+    cone_blocks = [
+        ConeBlock(f0=base, coeffs=np.concatenate([delta_coeff[None], h_coeffs]))
+        for _, base, delta_coeff, h_coeffs in blocks
+    ]
     return LmiProblem(
         dim_h=dim_h,
         cone=ConeProgram(c=c, blocks=cone_blocks),
         basis=basis,
-        roles=roles,
+        roles=[name for name, *_ in blocks],
         jac=jac,
         evec=evec,
         factor_rank=r,
         face=face,
-        span=span,
+        scale=scale,
     )
 
 
@@ -462,20 +426,14 @@ def _recover_multiplier(
     """Stationarity-row multiplier consistent with the cone duals.
 
     The null-space coordinates leave the dual equation determined only up
-    to the row space; the least-squares solve puts it back, scaled to match the
-    multiplier convention of the dual program.  It is solved in the svec
-    coordinates of ``H'``; span-restricted gram duals (and, when present,
-    spectral-cap duals) are expanded to the full dimension before the solve.
+    to the row space; the least-squares solve puts it back, scaled to match
+    the multiplier convention of the dual program.  It is solved in the
+    svec coordinates of ``H'``, for the scaled factors of the program.
     """
     jac, evec, r = prob.jac, prob.evec, prob.factor_rank
     t = svec(_block_trace(v, r))
     g = -(np.outer(t, evec) + np.outer(evec, t)) - jac @ v @ jac.T
-    diff = by_role["gram-lower"] - by_role["gram-upper"]
-    if prob.span is not None:
-        diff = prob.span @ diff @ prob.span.T
-    if "norm-cap-lower" in by_role:
-        diff = diff + by_role["norm-cap-lower"] - by_role["norm-cap-upper"]
-    g -= diff
+    g -= by_role["gram-lower"] - by_role["gram-upper"]
     rows = _stationarity_rows(jac, evec)
     w, *_ = np.linalg.lstsq(rows.T, svec(sym(g)), rcond=None)
     return -w / (2.0 * r)

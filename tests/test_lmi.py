@@ -11,9 +11,9 @@ from ripsharp.linalg import mat, orth_complement, smat, svec, svec_dim, sym, sym
 from ripsharp.lmi import (
     EQ_RANK_TOL,
     INITIAL_DELTA,
-    NORM_CAP_RADIUS,
     STATUS_NOT_BELOW_ONE,
     STATUS_OPTIMAL,
+    ReducedPair,
     SdpSolution,
     build_lower_lmi,
     build_upper_lmi,
@@ -256,14 +256,18 @@ def test_upper_problem_shapes():
 
 
 def _program(lower, seed, shape=(4, 2)):
-    """A program with the factors it constrains: (prob, x, z, span basis or None, rng)."""
+    """A program with the factors it constrains: (prob, x, z, rng).
+
+    The reduced program constrains the projected pair, the ambient one
+    the pair itself.
+    """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     z = rng.standard_normal(shape)
     pair = reduce(x, z)
     if lower:
-        return build_lower_lmi(x, z, pair.p), x, z, pair.p, rng
-    return build_upper_lmi(pair), pair.xhat, pair.zhat, None, rng
+        return build_lower_lmi(x, z, pair.p), x, z, rng
+    return build_upper_lmi(pair), pair.xhat, pair.zhat, rng
 
 
 def _vec_stack(prob, x):
@@ -284,43 +288,38 @@ def _skew_tangents(x):
     return np.array(out).reshape(-1, x.size)
 
 
-def _explicit_blocks(prob, x, z, p, delta, h):
+def _explicit_blocks(prob, x, z, delta, h):
     """Every block of the program written out from its definition.
 
-    ``h`` is H' on the symmetric subspace; the curvature and gram forms
-    are those of the vec-coordinate program at H = Q H' Q^T, compressed
-    to the symmetric subspace and to the face.
+    ``h`` is H' on the symmetric subspace; the curvature form is that of
+    the vec-coordinate program at H = Q H' Q^T, compressed to the face,
+    for the pair scaled as the builder scales it.  The gram blocks bound
+    all of H'.
     """
     n, r = x.shape
+    x, z = prob.scale * x, prob.scale * z
     q = sym_basis(n)
     h_vec = q @ h @ q.T
     jac = jacobian_mat(x)
     e = vec(x @ x.T - z @ z.T)
     curvature = 2.0 * np.kron(np.eye(r), sym(mat(h_vec @ e, (n, n)))) + jac.T @ h_vec @ jac
-    span = q if p is None else np.kron(p, p) @ sym_basis(p.shape[1])
-    bounded = span.T @ h_vec @ span
-    eye = np.eye(bounded.shape[0])
-    blocks = {
+    eye = np.eye(prob.dim_h)
+    return {
         "curvature": prob.face.T @ curvature @ prob.face,
-        "gram-lower": bounded - (1.0 - delta) * eye,
-        "gram-upper": (1.0 + delta) * eye - bounded,
+        "gram-lower": h - (1.0 - delta) * eye,
+        "gram-upper": (1.0 + delta) * eye - h,
     }
-    if p is not None:
-        cap = NORM_CAP_RADIUS * np.eye(prob.dim_h)
-        blocks["norm-cap-lower"] = cap + h
-        blocks["norm-cap-upper"] = cap - h
-    return blocks
 
 
 @pytest.mark.parametrize("lower", [False, True])
 def test_cone_blocks_match_explicit_forms(lower):
     # at a random stationary H', the null-space coordinates reproduce each
     # block of the program in (delta, H)
-    prob, x, z, p, rng = _program(lower, 12)
+    prob, x, z, rng = _program(lower, 12)
     delta = 0.37
     h = smat(prob.basis @ rng.standard_normal(prob.basis.shape[1]), prob.dim_h)
     y = np.concatenate([[delta], prob.basis.T @ svec(h)])
-    expected = _explicit_blocks(prob, x, z, p, delta, h)
+    expected = _explicit_blocks(prob, x, z, delta, h)
     assert prob.roles == list(expected)
     for role, blk in zip(prob.roles, prob.cone.blocks):
         want = expected[role]
@@ -329,7 +328,7 @@ def test_cone_blocks_match_explicit_forms(lower):
 
 @pytest.mark.parametrize("lower", [False, True])
 def test_null_space_basis_is_orthonormal_and_stationary(lower):
-    prob, x, z, _, _ = _program(lower, 13)
+    prob, x, z, _ = _program(lower, 13)
     basis = prob.basis
     assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
     # every basis direction lifts to an H_k with J^T H_k e = 0 in vec coordinates ...
@@ -343,7 +342,7 @@ def test_null_space_basis_is_orthonormal_and_stationary(lower):
 @pytest.mark.parametrize("lower", [False, True])
 @pytest.mark.parametrize("shape", [(4, 2), (6, 3)], ids=["4x2", "6x3"])
 def test_curvature_face_drops_rotation_null_space(lower, shape):
-    prob, x, z, _, _ = _program(lower, 14, shape)
+    prob, x, z, _ = _program(lower, 14, shape)
     r = x.shape[1]
     tangents = _skew_tangents(x)
     # before reduction, every coefficient annihilates every vec(x Omega)
@@ -414,7 +413,7 @@ SHAPES_AND_SEEDS = [(4, 1, 20), (4, 1, 21), (5, 2, 22), (5, 2, 23), (6, 3, 24), 
 def test_symmetric_program_matches_vec_program(n, r, seed):
     x, z = _pair((n, r), seed)
     sol = delta_exact(x, z)
-    # the same unit-residual scaling delta_exact applies
+    # the same unit-residual scaling the builder applies
     pair = reduce(x, z)
     c = float(np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T)) ** -0.5
     pair = dataclasses.replace(pair, xhat=c * pair.xhat, zhat=c * pair.zhat)
@@ -477,4 +476,32 @@ def test_floor_sweep_points_are_certified(rho, phi):
     sol = delta_exact(x, z)
     assert sol.status == STATUS_OPTIMAL
     rep = verify_certificates(sol, reduce(x, z))
+    assert rep.max_violation() <= _certificate_bound(x, z, sol)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (5, 2), (6, 3)], ids=["4x1", "5x2", "6x3"])
+def test_builders_are_scale_invariant(shape):
+    # each builder scales the pair to unit residual, so a tiny or huge
+    # pair gives the same program as the pair at unit scale
+    x, z = _pair(shape, 7)
+    ref = delta_exact(x, z).delta
+    for s in (1e-9, 1e-7, 1e-3, 1e6):
+        pair = reduce(s * x, s * z)
+        for prob in (build_upper_lmi(pair), build_lower_lmi(s * x, s * z, pair.p)):
+            sol = solve_lmi(prob)
+            assert sol.status == STATUS_OPTIMAL, (s, prob.dim_h)
+            assert abs(sol.delta - ref) <= 1e-9, (s, prob.dim_h)
+
+
+@pytest.mark.parametrize("n,r,seed", [(4, 1, 20), (5, 2, 22), (6, 3, 24)])
+def test_ambient_solution_passes_certificates(n, r, seed):
+    # the ambient program's gram matrix and multipliers are all in vec
+    # coordinates of R^n, so they certify the pair with the basis I_n
+    x, z = _pair((n, r), seed)
+    pair = reduce(x, z)
+    sol = solve_lmi(build_lower_lmi(x, z, pair.p))
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.h.shape == sol.dual.u1.shape == (n * n, n * n)
+    ambient = ReducedPair(np.eye(n), pair.p @ pair.xhat, pair.p @ pair.zhat)
+    rep = verify_certificates(sol, ambient)
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
