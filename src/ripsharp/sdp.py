@@ -5,9 +5,11 @@ for every block k, together with the conic dual
 maximize -sum_k <F0^k, Z_k>  subject to  sum_k <Fi^k, Z_k> = c_i, Z_k >= 0.
 
 The method is infeasible-start path following with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector step.  All blocks are dense; the Schur
-complement is assembled explicitly and factored by Cholesky, which is the
-right trade for the small matrices this package produces.
+and a Mehrotra predictor-corrector step.  Directions, step lengths and
+the corrector are taken in the NT-scaled frame, where S and Z are one
+diagonal matrix; only the accepted step is unscaled.  All blocks are dense;
+the Schur complement is assembled explicitly and factored by Cholesky,
+which is the right trade for the small matrices this package produces.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import SolverError
-from .linalg import svec, sym
+from .linalg import smat, svec, sym
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"
@@ -100,22 +102,19 @@ class SolveResult:
 
 
 class _BlockState:
-    """Per-block NT scaling data for one iteration."""
+    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD."""
 
-    __slots__ = ("lam", "g", "ginv", "t_svec", "rp_hat", "s_inv", "z_inv")
+    __slots__ = ("lam", "ginv", "t_svec", "rp_hat")
 
     def __init__(self, blk: ConeBlock, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
         ls = np.linalg.cholesky(s)
-        # NT scaling point W = G G^T with G^T Z G = G^-1 S G^-T = diag(lam).
-        m = ls.T @ z @ ls
-        evals, q = np.linalg.eigh(sym(m))
-        evals = np.maximum(evals, np.finfo(float).tiny)
+        # NT scaling point W = G G^T with G = L_S Q diag(evals)^-1/4, so that
+        # G^-T = L_S^-T Q diag(evals)^1/4 takes one triangular solve.
+        evals, q = np.linalg.eigh(sym(ls.T @ z @ ls))
+        if evals[0] <= 0.0:
+            raise np.linalg.LinAlgError("Z is not positive definite")
         self.lam = np.sqrt(evals)
-        # Inverse Cholesky factors of S and Z, for the step lengths.
-        self.s_inv = _tri_inverse(ls)
-        self.z_inv = _tri_inverse(np.linalg.cholesky(z))
-        self.g = ls @ (q * evals[None, :] ** -0.25)
-        self.ginv = (evals[:, None] ** 0.25) * (q.T @ self.s_inv)
+        self.ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
         t = self.ginv @ blk.coeffs @ self.ginv.T
         self.t_svec = svec(0.5 * (t + t.transpose(0, 2, 1)))
         self.rp_hat = self.ginv @ rp @ self.ginv.T
@@ -148,13 +147,14 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     solve stops as ``optimal`` once the duality gap is within ``GAP_TOL``
     of ``max(1, |pobj|, |dobj|)`` and both scaled infeasibilities are
     within ``FEAS_TOL``.  It stops short as ``step-failure`` when the NT
-    scaling or the Schur complement cannot be factored, or as
-    ``max-iterations`` after ``ITERATION_LIMIT`` iterations; then, of the
-    iterates at the rounding floor (gap within ``STALL_GAP_TOL``, primal
-    infeasibility within ``FEAS_TOL``, dual within ``STALL_DINF_TOL``),
-    the one with the smallest dual infeasibility, if any, is returned as
-    ``optimal``; ``iterations`` still counts all iterations run, so it
-    exceeds that iterate's index.  The duals are the per-block PSD multipliers.
+    scaling fails (S or Z is not positive definite) or the Schur complement
+    cannot be factored, or as ``max-iterations`` after ``ITERATION_LIMIT``
+    iterations; then, of the iterates at the rounding floor (gap within
+    ``STALL_GAP_TOL``, primal infeasibility within ``FEAS_TOL``, dual within
+    ``STALL_DINF_TOL``), the one with the smallest dual infeasibility, if
+    any, is returned as ``optimal``; ``iterations`` still counts all
+    iterations run, so it exceeds that iterate's index.  The duals are the
+    per-block PSD multipliers.
     """
     p = prog.num_vars
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()
@@ -205,34 +205,35 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             status = STEP_FAILURE
             break
 
-        def newton_step(rc_hats, shrink):
-            d = _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol)
-            ap = _max_step([st.s_inv for st in states], d[1])
-            ad = _max_step([st.z_inv for st in states], d[2])
-            return d, min(1.0, shrink * ap), min(1.0, shrink * ad)
-
         # Predictor: aim at mu = 0.
-        centering = [np.diag(-(st.lam**2)) for st in states]
-        (_, ds_aff, dz_aff), ap_aff, ad_aff = newton_step(centering, 1.0)
+        lams = [st.lam for st in states]
+        centering = [np.diag(-(lam**2)) for lam in lams]
+        _, ds_aff, dz_aff = _direction(states, centering, rd, schur, schur_chol)
+        ap_aff, ad_aff = min(1.0, _max_step(lams, ds_aff)), min(1.0, _max_step(lams, dz_aff))
         gap_aff = sum(
-            float(np.vdot(s + ap_aff * ds, z + ad_aff * dz))
-            for s, ds, z, dz in zip(s_list, ds_aff, z_list, dz_aff)
+            float(np.vdot(np.diag(lam) + ap_aff * ds, np.diag(lam) + ad_aff * dz))
+            for lam, ds, dz in zip(lams, ds_aff, dz_aff)
         )
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-10, 1.0))
 
         # Corrector: recenter and cancel the second-order term.
-        rc_hats = []
-        for st, ds, dz in zip(states, ds_aff, dz_aff):
-            ds_hat = st.ginv @ ds @ st.ginv.T
-            dz_hat = st.g.T @ dz @ st.g
-            cross = ds_hat @ dz_hat
-            rc = sigma * mu * np.eye(st.lam.size) - np.diag(st.lam**2)
-            rc -= 0.5 * (cross + cross.T)
-            rc_hats.append(rc)
-        (dy, ds_list, dz_list), ap, ad = newton_step(rc_hats, STEP_SHRINK)
+        rc_hats = [
+            sigma * mu * np.eye(lam.size) - np.diag(lam**2) - sym(ds @ dz)
+            for lam, ds, dz in zip(lams, ds_aff, dz_aff)
+        ]
+        dy, ds_hats, dz_hats = _direction(states, rc_hats, rd, schur, schur_chol)
+        ap = min(1.0, STEP_SHRINK * _max_step(lams, ds_hats))
+        ad = min(1.0, STEP_SHRINK * _max_step(lams, dz_hats))
+        # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
         y = y + ap * dy
-        s_list = [sym(s + ap * ds) for s, ds in zip(s_list, ds_list)]
-        z_list = [sym(z + ad * dz) for z, dz in zip(z_list, dz_list)]
+        s_list = [
+            sym(s + ap * ((dy @ blk.flat).reshape(rp.shape) + rp))
+            for blk, s, rp in zip(prog.blocks, s_list, rp_list)
+        ]
+        z_list = [
+            sym(z + ad * (st.ginv.T @ dz @ st.ginv))
+            for st, z, dz in zip(states, z_list, dz_hats)
+        ]
 
     if status != OPTIMAL and floor is not None:
         (y, s_list, z_list), status = floor, OPTIMAL
@@ -254,43 +255,32 @@ def _adjoint(prog: ConeProgram, z_list: Sequence[np.ndarray]) -> np.ndarray:
     return sum(blk.flat @ z.reshape(-1) for blk, z in zip(prog.blocks, z_list))
 
 
-def _direction(prog, states, rc_hats, rp_list, rd, schur, schur_chol):
-    """One Newton solve for a given centering right-hand side."""
+def _direction(states, rc_hats, rd, schur, schur_chol):
+    """Newton solve for one centering rhs: dy, ds_hat = G^-1 dS G^-T, dz_hat = G^T dZ G."""
     rhs = -rd.copy()
     for st, rc in zip(states, rc_hats):
         rhs += st.t_svec @ svec(st.lyapunov(rc) - st.rp_hat)
     dy = lapack.dpotrs(schur_chol, rhs, lower=1)[0]
     # One round of iterative refinement keeps late iterations accurate.
     dy += lapack.dpotrs(schur_chol, rhs - schur @ dy, lower=1)[0]
-    ds_list, dz_list = [], []
-    for blk, st, rc, rp in zip(prog.blocks, states, rc_hats, rp_list):
-        ds = (dy @ blk.flat).reshape(rp.shape) + rp
-        ds_hat = st.ginv @ ds @ st.ginv.T
-        dz_hat = st.lyapunov(rc) - 0.5 * (ds_hat + ds_hat.T)
-        dz = st.ginv.T @ dz_hat @ st.ginv
-        ds_list.append(sym(ds))
-        dz_list.append(sym(dz))
-    return dy, ds_list, dz_list
+    ds_hats = [smat(dy @ st.t_svec, st.lam.size) + st.rp_hat for st in states]
+    dz_hats = [st.lyapunov(rc) - ds for st, rc, ds in zip(states, rc_hats, ds_hats)]
+    return dy, ds_hats, dz_hats
 
 
-def _max_step(inv_factors: Sequence[np.ndarray], deltas: Sequence[np.ndarray]) -> float:
-    """Largest t with  M_k + t*delta_k >= 0  on every block k.
+def _max_step(lams: Sequence[np.ndarray], deltas: Sequence[np.ndarray]) -> float:
+    """Largest t with  diag(lam_k) + t*delta_k >= 0  on every block k.
 
-    Takes the inverse Cholesky factors L_k^-1 of M_k = L_k L_k^T; the
-    bound is the minimum over blocks of -1/lambda_min(L^-1 delta L^-T),
-    or inf if no eigenvalue is negative.
+    In the scaled frame S and Z are both diag(lam), so this one bound
+    serves both step lengths: the minimum over blocks of
+    -1/lambda_min(diag(lam)^-1/2 delta diag(lam)^-1/2), or inf if no
+    eigenvalue is negative.
     """
     lam_min = min(
-        float(np.linalg.eigvalsh(sym(f @ d @ f.T))[0]) for f, d in zip(inv_factors, deltas)
+        float(np.linalg.eigvalsh(d / np.sqrt(np.outer(lam, lam)))[0])
+        for lam, d in zip(lams, deltas)
     )
     return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
-
-
-def _tri_inverse(lower: np.ndarray) -> np.ndarray:
-    inv, info = lapack.dtrtrs(lower, np.eye(lower.shape[0]), lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Cholesky factor")
-    return inv
 
 
 def _robust_cholesky(m: np.ndarray) -> np.ndarray:

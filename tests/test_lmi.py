@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ripsharp import cli, sdp
+from ripsharp import cli, lmi, sdp
 from ripsharp.closedform import canonical_pair
 from ripsharp.errors import NotSpuriousError
 from ripsharp.linalg import mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
@@ -465,16 +465,31 @@ def test_former_step_failures_are_certified(stream, index):
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
 
 
-@pytest.mark.parametrize("rho,phi", [(1.4, 10), (1.9, 40), (1.7, 40), (1.8, 20), (1.7, 45)])
-def test_floor_sweep_points_are_certified(rho, phi):
-    # criterion-4 grid points whose solve ends at the rounding floor, at
-    # the values of cli.sweep_grid: these differ from the literals in the
-    # last bit, and the literals take another solver path
+@pytest.mark.parametrize(
+    "rho,phi",
+    [(1.4, 10), (1.4, 45), (1.6, 25), (1.7, 20), (1.7, 40), (1.7, 45), (1.8, 20), (1.9, 40)],
+)
+def test_floor_sweep_points_are_certified(rho, phi, monkeypatch):
+    # criterion-4 grid points whose solve ended at the rounding floor before
+    # the steps were taken in the scaled frame; now each meets the clean
+    # stopping rule.  The values are those of cli.sweep_grid: these differ
+    # from the literals in the last bit, and the literals take another
+    # solver path
     rho = float(np.linspace(0, 2, 21)[round(10 * rho)])
     phi = float(np.linspace(0, 90, 19)[round(phi / 5)])
     x, z = canonical_pair(rho, np.deg2rad(phi))
+    results = []
+
+    def capture(prog, y0=None):
+        results.append(sdp.solve(prog, y0=y0))
+        return results[-1]
+
+    monkeypatch.setattr(lmi, "_solve_cone", capture)
     sol = delta_exact(x, z)
     assert sol.status == STATUS_OPTIMAL
+    (res,) = results
+    assert res.gap <= sdp.GAP_TOL * max(1.0, abs(res.pobj), abs(res.dobj)), res.gap
+    assert res.pinf <= sdp.FEAS_TOL and res.dinf <= sdp.FEAS_TOL, (res.pinf, res.dinf)
     rep = verify_certificates(sol, reduce(x, z))
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
 

@@ -1,9 +1,11 @@
 """Tests for the dense block interior-point solver."""
 import numpy as np
+import pytest
 import scipy.linalg as sla
 from numpy.random import default_rng
 
-from ripsharp import closedform, lmi, sdp
+from ripsharp import cli, lmi, sdp
+from ripsharp.linalg import svec
 from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeBlock, ConeProgram, solve
 
 
@@ -140,11 +142,11 @@ def test_iteration_cap_reported(monkeypatch):
 
 
 def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
-    # criterion-4 grid point (1.4, 10 deg): its solve reaches the rounding
-    # floor within 9 iterations, and later iterates have dual residuals up
-    # to 100x larger; every cap past that returns the best floor iterate
-    rho = float(np.linspace(0, 2, 21)[14])
-    phi_deg = float(np.linspace(0, 90, 19)[2])
+    # (5, 2) ecdf stream 6 sample 54: its solve first reaches the rounding
+    # floor at iteration 10, the next iterate has a smaller dual residual,
+    # and the later ones have dual residuals up to 43x larger until the
+    # scaling fails at iteration 17; every cap from 10 returns the best
+    # floor iterate seen so far
     seen = []
 
     def capture(prog, y0=None):
@@ -154,11 +156,11 @@ def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
     # the cone program and start point delta_exact passes to sdp.solve
     with monkeypatch.context() as m:
         m.setattr(lmi, "_solve_cone", capture)
-        lmi.delta_exact(*closedform.canonical_pair(rho, np.deg2rad(phi_deg)))
+        lmi.delta_exact(*cli.draw_pair(5, 2, 6, 54))
     prog, y0 = seen[0]
     uncapped = solve(prog, y0=y0).iterations
     dinfs = []
-    for limit in range(9, 26):
+    for limit in range(10, 26):
         monkeypatch.setattr(sdp, "ITERATION_LIMIT", limit)
         res = solve(prog, y0=y0)
         assert res.status == OPTIMAL, (limit, res.status)
@@ -184,10 +186,14 @@ def test_final_gap_meets_stopping_rule():
     assert abs(complementarity - res.gap) <= 1e-8 * scale
 
 
-def random_pd(rng, size, cond):
-    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
-    m = (q * np.logspace(0, -np.log10(cond), size)) @ q.T
-    return 0.5 * (m + m.T)
+def random_lam(rng, size, cond):
+    # scaled-frame eigenvalues spread from 1 to cond
+    return rng.permutation(np.logspace(0, np.log10(cond), size))
+
+
+def random_pd_matrix(rng, size):
+    a = rng.standard_normal((size, size))
+    return a @ a.T + size * np.eye(size)
 
 
 def random_sym(rng, size):
@@ -195,26 +201,23 @@ def random_sym(rng, size):
     return 0.5 * (d + d.T)
 
 
-def inverse_factor(m):
-    return sdp._tri_inverse(np.linalg.cholesky(m))
-
-
-def reference_step(m, d):
-    # generalized eigenvalues of (d, m): m + t d >= 0 iff 1 + t lam >= 0
-    lam_min = sla.eigh(d, m, eigvals_only=True)[0]
+def reference_step(lam, d):
+    # generalized eigenvalues of (d, diag(lam)): diag(lam) + t d >= 0 iff
+    # 1 + t mu >= 0 for each of them
+    lam_min = sla.eigh(d, np.diag(lam), eigvals_only=True)[0]
     return np.inf if lam_min >= 0.0 else -1.0 / lam_min
 
 
 def test_max_step_matches_generalized_eigenvalues():
     rng = default_rng(11)
     for cond in (1.0, 1e2, 1e4, 1e6, 1e8):
-        # rounding in the inverse factor grows with the condition number
+        # rounding in the scaled direction grows with the spread of lam
         rtol = 1e-14 * cond
         for _ in range(20):
             size = int(rng.integers(2, 9))
-            m, d = random_pd(rng, size, cond), random_sym(rng, size)
-            ref = reference_step(m, d)
-            step = sdp._max_step([inverse_factor(m)], [d])
+            lam, d = random_lam(rng, size, cond), random_sym(rng, size)
+            ref = reference_step(lam, d)
+            step = sdp._max_step([lam], [d])
             if np.isinf(ref):
                 assert np.isinf(step)
             else:
@@ -225,24 +228,65 @@ def test_max_step_unbounded_for_psd_direction():
     rng = default_rng(12)
     a = rng.standard_normal((5, 3))
     for cond in (1.0, 1e4, 1e8):
-        m = random_pd(rng, 5, cond)
+        lam = random_lam(rng, 5, cond)
         for d in (np.zeros((5, 5)), np.eye(5), a @ a.T + 1e-3 * np.eye(5)):
-            assert sdp._max_step([inverse_factor(m)], [d]) == np.inf
+            assert sdp._max_step([lam], [d]) == np.inf
     # singular PSD directions: zero eigenvalues computed to rounding
-    assert sdp._max_step([np.eye(5)], [a @ a.T]) == np.inf
+    assert sdp._max_step([np.ones(5)], [a @ a.T]) == np.inf
 
 
 def test_max_step_is_minimum_over_blocks():
     rng = default_rng(13)
-    ms = [random_pd(rng, size, 1e3) for size in (2, 4, 4)]
-    ds = [random_sym(rng, m.shape[0]) - 2.0 * np.eye(m.shape[0]) for m in ms]
-    refs = [reference_step(m, d) for m, d in zip(ms, ds)]
-    step = sdp._max_step([inverse_factor(m) for m in ms], ds)
+    lams = [random_lam(rng, size, 1e3) for size in (2, 4, 4)]
+    ds = [random_sym(rng, lam.size) - 2.0 * np.eye(lam.size) for lam in lams]
+    refs = [reference_step(lam, d) for lam, d in zip(lams, ds)]
+    step = sdp._max_step(lams, ds)
     assert abs(step - min(refs)) <= 1e-10 * min(refs)
     # a PSD direction on one block does not bound the step
     ds[0] = np.eye(2)
-    step = sdp._max_step([inverse_factor(m) for m in ms], ds)
+    step = sdp._max_step(lams, ds)
     assert abs(step - min(refs[1:])) <= 1e-10 * min(refs[1:])
+
+
+def test_direction_solves_scaled_newton_system():
+    # at a random interior iterate with nonzero residuals, the scaled steps
+    # returned by _direction satisfy the dual equation and are the scaled
+    # image of the primal step dy.F + rp, each to rounding of the terms
+    rtol = 1e-12
+    rng = default_rng(15)
+    for seed in range(10):
+        prog = random_cone_program(seed)
+        y = rng.standard_normal(prog.num_vars)
+        s_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
+        z_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
+        rp_list, rd = sdp._residuals(prog, y, s_list, z_list, 1.0, 1.0)[:2]
+        states = [sdp._BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
+        schur = sum(st.t_svec @ st.t_svec.T for st in states)
+        rc_hats = [random_sym(rng, blk.size) for blk in prog.blocks]
+        dy, ds_hats, dz_hats = sdp._direction(
+            states, rc_hats, rd, schur, sdp._robust_cholesky(schur)
+        )
+        terms = [st.t_svec @ svec(dz) for st, dz in zip(states, dz_hats)]
+        scale = np.linalg.norm(rd) + sum(np.linalg.norm(t) for t in terms)
+        assert np.linalg.norm(sum(terms) - rd) <= rtol * scale, seed
+        for blk, st, rp, ds_hat in zip(prog.blocks, states, rp_list, ds_hats):
+            ds = np.einsum("i,ijk->jk", dy, blk.coeffs) + rp
+            ref = st.ginv @ ds @ st.ginv.T
+            size = np.linalg.norm(rp) + np.abs(dy) @ np.linalg.norm(blk.coeffs, axis=(1, 2))
+            scale = np.linalg.norm(st.ginv, 2) ** 2 * size
+            assert np.linalg.norm(ds_hat - ref) <= rtol * scale, seed
+
+
+def test_scaling_rejects_non_pd_dual():
+    # a Z that is not positive definite fails the NT scaling, so the
+    # solve takes the step-failure path instead of stepping on
+    blk = random_cone_program(0).blocks[0]
+    size = blk.size
+    indefinite = np.eye(size)
+    indefinite[0, 0] = -1e-3
+    for z in (indefinite, np.zeros((size, size))):
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._BlockState(blk, np.eye(size), z, np.zeros((size, size)))
 
 
 def test_contractions_match_reference_forms():
