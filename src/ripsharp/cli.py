@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 
@@ -55,8 +56,12 @@ class SweepConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("rho_min", "rho_max", "phi_min", "phi_max"):
+            setattr(self, name, _as_float(getattr(self, name), name))
         self.rho_steps = _as_int(self.rho_steps, "rho_steps")
         self.phi_steps = _as_int(self.phi_steps, "phi_steps")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError("out must be a path string")
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be one of {', '.join(SWEEP_MODES)}")
         if min(self.rho_steps, self.phi_steps) < 2:
@@ -78,10 +83,8 @@ class EcdfConfig:
     general_z: bool = False
 
     def __post_init__(self) -> None:
-        self.n = _as_int(self.n, "n")
-        self.r = _as_int(self.r, "r")
-        self.num_samples = _as_int(self.num_samples, "num_samples")
-        self.seed = _as_int(self.seed, "seed")
+        for name in ("n", "r", "num_samples", "seed"):
+            setattr(self, name, _as_int(getattr(self, name), name))
         if not self.n >= self.r >= 1:
             raise ValueError("need n >= r >= 1")
         if self.num_samples < 1:
@@ -186,10 +189,15 @@ def cmd_verify(instance_path: str, x_path: str | None = None) -> str:
         inst = RecoveryInstance.from_json(json.dumps(body))
     except KeyError as exc:
         raise ValueError(f"{instance_path}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{instance_path}: {exc}") from exc
     if x_path is not None:
         x = load_array(x_path)
     elif "x" in payload:
-        x = np.asarray(payload["x"], dtype=float)
+        try:
+            x = np.asarray(payload["x"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f'{instance_path}: "x" must be a numeric array') from exc
     else:
         raise ValueError('no candidate point: pass --x or bundle an "x" entry')
     return verify_report(inst, x)
@@ -246,7 +254,10 @@ def load_sweep_config(path: str) -> SweepConfig:
     missing = sorted(fields - {"mode", "out"} - set(payload))
     if missing:
         raise ValueError(f"{path}: missing config fields: {', '.join(missing)}")
-    return SweepConfig(**payload)
+    try:
+        return SweepConfig(**payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -262,8 +273,14 @@ def _load_json(path: str) -> dict:
     return payload
 
 
+def _as_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number")
+    return float(value)
+
+
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not _as_float(value, name).is_integer():
         raise ValueError(f"{name} must be an integer")
     return int(value)
 

@@ -77,6 +77,8 @@ def polar_params(x: np.ndarray, z: np.ndarray) -> PolarParams:
 
 def from_polar(rho: float, phi: float) -> PolarParams:
     """Polar parameters from the coordinates themselves."""
+    if not (np.isfinite(rho) and np.isfinite(phi)):
+        raise ValueError("rho and phi must be finite")
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     sin_sq = np.sin(phi) ** 2

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import NotPsdError
 
-# Relative threshold for every numerical rank decision in the package.
+# Relative threshold for every numerical rank decision in the package: the
+# span basis of ``lmi.reduce``, ``orth_complement`` and ``factor_gram``.
 RANK_RTOL = 1e-9
 
 
@@ -34,55 +35,37 @@ def sym(a: np.ndarray) -> np.ndarray:
 
 
 def as_factor(a: np.ndarray, name: str) -> np.ndarray:
-    """A factor as a nonempty float matrix; a vector is an n x 1 column."""
+    """A factor as a nonempty, finite float matrix; a vector is an n x 1 column."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be a nonempty vector or matrix")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     return a
 
 
-def orth_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span of ``a``.
+def orth_complement(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the span of ``p``.
 
-    Columns with singular value below ``RANK_RTOL * sigma_max`` are treated as
-    numerically zero; the result has exactly rank(a) columns.
+    Singular values at most ``RANK_RTOL`` times the largest count as zero.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0))
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return u[:, :rank]
-
-
-def orth_complement(p: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the span of ``p``."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    n = p.shape[0]
-    if p.shape[1] == 0:
-        return np.eye(n)
+    # An n x 0 input has no singular values, and u is then the identity.
     u, s, _ = np.linalg.svd(p, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
     return u[:, rank:]
 
 
 def factor_gram(h: np.ndarray) -> np.ndarray:
     """Factor a PSD matrix as ``h = a.T @ a``.
 
-    Uses Cholesky when ``h`` is numerically positive definite, otherwise an
-    eigenvalue factorization whose row count equals the numerical rank.
+    An eigenvalue factorization whose row count equals the numerical rank:
+    eigenvalues at most ``RANK_RTOL * max(|eigenvalues|)`` are dropped.
     Raises :class:`NotPsdError` when an eigenvalue is below
-    ``-RANK_RTOL * max(|eigenvalues|)``.
+    ``-RANK_RTOL * max(|eigenvalues|, 1)``.
     """
-    h = np.asarray(h, dtype=float)
-    try:
-        return np.linalg.cholesky(h).T
-    except np.linalg.LinAlgError:
-        pass
     values, vectors = np.linalg.eigh(h)
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     if values.size and values[0] < -RANK_RTOL * max(scale, 1.0):

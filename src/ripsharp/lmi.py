@@ -22,7 +22,9 @@ condition ``J'^T H' e' = 0`` (``J' = Q^T J``, ``e' = Q^T e``) is a set of
 linear rows on ``svec(H')``; each program is built in coordinates of
 their null space, ``svec(H') = N w`` for an orthonormal basis ``N``, so
 every iterate is exactly stationary and every PSD block is affine in the
-cone variables ``y = (delta, w)``.
+cone variables ``y = (delta, w)``.  Every rank decision (the joint span,
+``N``, ``K`` below, the factor of a gram matrix) cuts at
+``linalg.RANK_RTOL``.
 
 For ``r >= 2`` every curvature coefficient annihilates ``vec(x Omega)``
 for skew ``Omega``, as the objective is invariant under ``x -> x R``.
@@ -30,14 +32,14 @@ The curvature block is restricted to the orthogonal complement ``K`` of
 those vectors (facial reduction, Borwein and Wolkowicz 1981), which
 gives it an interior.
 
-Every program is built one way, for factors with any number of rows:
-the reduced pair (``build_upper_lmi``) or the same pair lifted back to
-the ambient dimension (``build_lower_lmi``, with bounds on all of
-``H``).  The reduction is exact, so the two optima coincide; the
-ambient program is the independent cross-check of that claim.  The
-builder first scales the pair to a residual ``x x^T - z z^T`` of unit
-norm, which leaves delta unchanged, and ``solve_lmi`` maps the
-multipliers back to the given scale.
+Every program is built by ``build_upper_lmi``, for factors with any
+number of rows: the reduced pair, or (``build_lower_lmi``) the same
+pair lifted back to the ambient dimension, with bounds on all of ``H``.
+The reduction is exact, so the two optima coincide; the ambient program
+is the independent cross-check of that claim.  The builder first scales
+the pair to a residual ``x x^T - z z^T`` of unit norm, which leaves
+delta unchanged, and ``solve_lmi`` maps the multipliers back to the
+given scale.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import orth
 
 from .errors import NotSpuriousError
-from .linalg import as_factor, factor_gram, orth_basis, orth_complement, smat, svec
+from .linalg import RANK_RTOL, as_factor, factor_gram, orth_complement, smat, svec
 from .linalg import svec_dim, svec_side, sym, sym_basis, vec
 from .objective import MeasurementOperator, curvature_form, jacobian_mat
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
@@ -58,9 +61,6 @@ from .sdp import ConeBlock, ConeProgram
 from .sdp import solve as _solve_cone
 
 STATUS_NOT_BELOW_ONE = "infeasible-at-delta-below-one"
-
-# Threshold for dropping linearly dependent stationarity rows.
-EQ_RANK_TOL = 1e-10
 
 # Starting delta of every solve, close to its largest useful value.
 INITIAL_DELTA = 0.999
@@ -184,19 +184,78 @@ def reduce(x: np.ndarray, z: np.ndarray) -> ReducedPair:
         raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
     if not (np.any(x) or np.any(z)):
         raise NotSpuriousError("x and z are both zero; no span to reduce to")
-    p = orth_basis(np.hstack([x, z]))
+    p = orth(np.hstack([x, z]), rcond=RANK_RTOL)
     return ReducedPair(p=p, xhat=p.T @ x, zhat=p.T @ z)
 
 
 def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     """Program over (delta, H) whose optimum equals the sharpest constant.
 
-    The stationarity rows force the gradient of the recovery objective to
-    vanish under gram matrix ``H`` (they define the null-space basis), the
-    curvature block keeps its Hessian PSD, and the two gram blocks pin
+    A cone program in ``y = (delta, w)`` with ``svec(H') = N w``, posed for
+    the factors ``xhat`` and ``zhat``.  The stationarity rows force the
+    gradient of the recovery objective to vanish under gram matrix ``H``,
+    the curvature block keeps its Hessian PSD, and the two gram blocks pin
     ``H`` between ``(1 -/+ delta) I``.
+
+    The factors are first scaled by ``||x x^T - z z^T||^(-1/2)``, which
+    gives the residual unit norm and leaves delta unchanged; a residual
+    below ``1e-12 max(||x||^2, ||z||^2)`` means ``x x^T = z z^T``, and no
+    program exists.  ``N`` is an orthonormal basis of the null space of
+    the stationarity rows: the complement of their span, from
+    :func:`orth_complement`.  The H'-coefficients of the gram blocks are
+    the matrices ``smat(N^T)``, and those of the curvature block are the
+    Hessian form of the same stack, restricted to the face ``K``.  The
+    curvature block is zero, and dropped, when ``x`` and ``z`` are
+    collinear and the null space is empty.
     """
-    return _null_space_program(pair.xhat, pair.zhat)
+    x, z = pair.xhat, pair.zhat
+    m, r = x.shape
+    e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
+    if e_norm <= 1e-12 * max(float(np.sum(x * x)), float(np.sum(z * z))):
+        raise NotSpuriousError(
+            "x x^T equals z z^T; every operator makes x a global optimum"
+        )
+    scale = e_norm**-0.5
+    x, z = scale * x, scale * z
+    q = sym_basis(m)
+    jac = q.T @ jacobian_mat(x)
+    evec = svec(x @ x.T - z @ z.T)
+    dim_h = svec_dim(m)
+    basis = orth_complement(_stationarity_rows(jac, evec).T)
+    stack = smat(basis.T, dim_h)
+    eye = np.eye(dim_h)
+    # The Hessian form 2 I_r kron smat(H' e') + J'^T H' J', on the face.
+    curvature = jac.T @ stack @ jac
+    half = smat(stack @ evec, m)
+    for j in range(r):
+        curvature[:, j * m : (j + 1) * m, j * m : (j + 1) * m] += 2.0 * half
+    face = _face(x)
+    curvature = face.T @ curvature @ face
+    zero_q = np.zeros((face.shape[1],) * 2)
+    blocks = [
+        ("curvature", zero_q, zero_q, curvature),
+        ("gram-lower", -eye, eye, stack),
+        ("gram-upper", eye, eye, -stack),
+    ]
+    if np.abs(curvature).max(initial=0.0) <= 1e-12:
+        del blocks[0]
+    c = np.zeros(1 + basis.shape[1])
+    c[0] = 1.0
+    cone_blocks = [
+        ConeBlock(f0=base, coeffs=np.concatenate([delta_coeff[None], h_coeffs]))
+        for _, base, delta_coeff, h_coeffs in blocks
+    ]
+    return LmiProblem(
+        dim_h=dim_h,
+        cone=ConeProgram(c=c, blocks=cone_blocks),
+        basis=basis,
+        roles=[name for name, *_ in blocks],
+        jac=jac,
+        evec=evec,
+        factor_rank=r,
+        face=face,
+        scale=scale,
+    )
 
 
 def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
@@ -215,7 +274,7 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
     if p.ndim != 2 or not p.shape[0] == x.shape[0] == z.shape[0]:
         raise ValueError("span basis and factors must have the same number of rows")
     pair = ReducedPair(p=p, xhat=p.T @ x, zhat=p.T @ z)
-    return _null_space_program(pair.p @ pair.xhat, pair.p @ pair.zhat)
+    return build_upper_lmi(ReducedPair(np.eye(pair.n), p @ pair.xhat, p @ pair.zhat))
 
 
 def solve_lmi(prob: LmiProblem) -> SdpSolution:
@@ -267,16 +326,13 @@ def delta_exact(x: np.ndarray, z: np.ndarray) -> SdpSolution:
 def recover_minimizer(sol: SdpSolution, pair: ReducedPair) -> MeasurementOperator:
     """Measurement operator whose gram matrix is the solved one extended.
 
-    With ``B = P kron P``, the rows are a factor of the solved gram matrix
-    pushed through ``B``, stacked on an orthonormal basis of the
-    complement of ``B``'s columns, so ``A^T A = B (H - I) B^T + I``: ``H``
-    on the span and the identity off it.  The row count is
-    ``rank(H) + n^2 - d^2``.
+    The rows are a factor of ``B (H - I) B^T + I`` for ``B = P kron P``,
+    so ``A^T A`` is ``H`` on the span and the identity off it.  The row
+    count is its numerical rank, ``rank(H) + n^2 - d^2``.
     """
     if sol.status != STATUS_OPTIMAL:
         raise ValueError(f"minimizer requires an optimal solution, got {sol.status!r}")
-    pp = np.kron(pair.p, pair.p)
-    rows = np.vstack([factor_gram(sol.h) @ pp.T, orth_complement(pp).T])
+    rows = factor_gram(_extend(sol.h, np.kron(pair.p, pair.p)))
     return MeasurementOperator.from_stacked(rows, pair.n)
 
 
@@ -355,69 +411,6 @@ def _stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
     """Rows r_k with r_k . svec(H) = (jac^T H evec)_k."""
     outers = jac.T[:, :, None] * evec[None, None, :]
     return svec(0.5 * (outers + outers.transpose(0, 2, 1)))
-
-
-def _null_space_program(x: np.ndarray, z: np.ndarray) -> LmiProblem:
-    """Cone program in ``y = (delta, w)`` with ``svec(H') = N w``.
-
-    The factors are first scaled by ``||x x^T - z z^T||^(-1/2)``, which
-    gives the residual unit norm and leaves delta unchanged; a residual
-    below ``1e-12 max(||x||^2, ||z||^2)`` means ``x x^T = z z^T``, and no
-    program exists.  ``N`` is an orthonormal basis of the null space of
-    the stationarity rows: the complement of their span, counting singular
-    values below ``EQ_RANK_TOL`` times the largest as zero.  The
-    H'-coefficients of the gram blocks are the matrices ``smat(N^T)``, and
-    those of the curvature block are the Hessian form of the same stack,
-    restricted to the face ``K``.  The curvature block is zero, and
-    dropped, when ``x`` and ``z`` are collinear and the null space is empty.
-    """
-    m, r = x.shape
-    e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
-    if e_norm <= 1e-12 * max(float(np.sum(x * x)), float(np.sum(z * z))):
-        raise NotSpuriousError(
-            "x x^T equals z z^T; every operator makes x a global optimum"
-        )
-    scale = e_norm**-0.5
-    x, z = scale * x, scale * z
-    q = sym_basis(m)
-    jac = q.T @ jacobian_mat(x)
-    evec = svec(x @ x.T - z @ z.T)
-    dim_h = svec_dim(m)
-    basis = orth_complement(_stationarity_rows(jac, evec).T, rtol=EQ_RANK_TOL)
-    stack = smat(basis.T, dim_h)
-    eye = np.eye(dim_h)
-    # The Hessian form 2 I_r kron smat(H' e') + J'^T H' J', on the face.
-    curvature = jac.T @ stack @ jac
-    half = smat(stack @ evec, m)
-    for j in range(r):
-        curvature[:, j * m : (j + 1) * m, j * m : (j + 1) * m] += 2.0 * half
-    face = _face(x)
-    curvature = face.T @ curvature @ face
-    zero_q = np.zeros((face.shape[1],) * 2)
-    blocks = [
-        ("curvature", zero_q, zero_q, curvature),
-        ("gram-lower", -eye, eye, stack),
-        ("gram-upper", eye, eye, -stack),
-    ]
-    if np.abs(curvature).max(initial=0.0) <= 1e-12:
-        del blocks[0]
-    c = np.zeros(1 + basis.shape[1])
-    c[0] = 1.0
-    cone_blocks = [
-        ConeBlock(f0=base, coeffs=np.concatenate([delta_coeff[None], h_coeffs]))
-        for _, base, delta_coeff, h_coeffs in blocks
-    ]
-    return LmiProblem(
-        dim_h=dim_h,
-        cone=ConeProgram(c=c, blocks=cone_blocks),
-        basis=basis,
-        roles=[name for name, *_ in blocks],
-        jac=jac,
-        evec=evec,
-        factor_rank=r,
-        face=face,
-        scale=scale,
-    )
 
 
 def _recover_multiplier(

@@ -91,6 +91,8 @@ class RecoveryInstance:
     @classmethod
     def from_json(cls, text: str) -> "RecoveryInstance":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("serialized instance must be a JSON object")
         op = MeasurementOperator(np.asarray(payload["A"], dtype=float))
         inst = cls(op, np.asarray(payload["Z"], dtype=float), payload["scale"])
         if inst.n != payload["n"] or inst.r != payload["r"]:

@@ -1,12 +1,18 @@
 """Tests for the command-line harness."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ripsharp
 from ripsharp import cli, sdp
 from ripsharp.errors import SolverError
+from ripsharp.objective import MeasurementOperator, RecoveryInstance
 
 
 def write_sweep_config(path, **overrides):
@@ -63,7 +69,7 @@ def test_sweep_marks_degenerate_rows(tmp_path):
     assert abs(vals[2] - (vals[0] - vals[1])) <= 1e-9
 
 
-def test_sweep_config_validation(tmp_path):
+def test_sweep_config_validation(tmp_path, capsys):
     cfg = tmp_path / "plan.json"
     write_sweep_config(cfg, rho_steps=1)
     assert cli.main(["sweep", "--config", str(cfg), "--out", "x.csv"]) == 1
@@ -73,6 +79,21 @@ def test_sweep_config_validation(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg), "--out", "x.csv"]) == 1
     cfg.write_text("{not json")
     assert cli.main(["sweep", "--config", str(cfg), "--out", "x.csv"]) == 1
+    # wrongly typed values are input errors that name the file; "out" is
+    # checked without --out, which would override it
+    out = ["--out", str(tmp_path / "grid.csv")]
+    for overrides, flags in [
+        ({"rho_min": "a"}, out),
+        ({"rho_steps": None}, out),
+        ({"rho_steps": "3"}, out),
+        ({"rho_max": float("inf")}, out),
+        ({"out": 1}, []),
+    ]:
+        write_sweep_config(cfg, **overrides)
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg)] + flags) == 1, overrides
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: "), overrides
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_ecdf_deterministic_and_prefix_stable(tmp_path):
@@ -175,6 +196,54 @@ def test_verify_not_critical_branch(tmp_path, capsys):
     assert cli.main(["verify", "--instance", str(bundle), "--x", str(xfile)]) == 0
     outp = capsys.readouterr().out
     assert "not critical" in outp.splitlines()[0]
+
+
+def test_verify_rejects_mistyped_bundle(tmp_path, capsys):
+    inst = RecoveryInstance(MeasurementOperator(np.eye(4).reshape(4, 2, 2)), np.array([1.0, 0.0]))
+    bundle = tmp_path / "bundle.json"
+    for payload in (
+        {"instance": [1, 2], "x": [0.0, 1.0]},
+        {"instance": json.loads(inst.to_json()), "x": {"a": 1}},
+    ):
+        bundle.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["verify", "--instance", str(bundle)]) == 1, payload
+        assert capsys.readouterr().err.startswith(f"error: {bundle}: "), payload
+
+
+def test_nonfinite_inputs_exit_one(tmp_path, capsys):
+    x, z = tmp_path / "x.txt", tmp_path / "z.txt"
+    z.write_text("1 0\n")
+    assert cli.main(["lowerbound", "--rho", "nan", "--phi", "90"]) == 1
+    for entry in ("nan", "inf"):
+        x.write_text(f"{entry} 1\n")
+        capsys.readouterr()
+        assert cli.main(["delta", "--x", str(x), "--z", str(z)]) == 1
+        assert "x must be finite" in capsys.readouterr().err
+
+
+def test_csv_independent_of_blas_threads(tmp_path):
+    # The CSVs are byte-identical at one and two OpenBLAS threads; the
+    # thread count is fixed when the library loads, so each run is a fresh
+    # interpreter.
+    cfg = tmp_path / "plan.json"
+    write_sweep_config(cfg)
+    src = str(Path(ripsharp.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        for name, args in (
+            ("ecdf", ["ecdf", "--n", "5", "--r", "2", "--samples", "10"]),
+            ("sweep", ["sweep", "--config", str(cfg)]),
+        ):
+            out = tmp_path / f"{name}-{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "ripsharp", *args, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs[name, threads] = out.read_bytes()
+    for name in ("ecdf", "sweep"):
+        assert outputs[name, "1"] == outputs[name, "2"], name
 
 
 def test_missing_files_exit_one(tmp_path):

@@ -82,6 +82,12 @@ def test_negative_rho_rejected():
         from_polar(-0.5, 0.3)
 
 
+@pytest.mark.parametrize("rho,phi", [(np.nan, 0.3), (np.inf, 0.3), (0.5, np.nan)])
+def test_nonfinite_polar_rejected(rho, phi):
+    with pytest.raises(ValueError, match="finite"):
+        from_polar(rho, phi)
+
+
 def test_psi_endpoints():
     alpha = 0.6
     assert abs(psi(0.0, alpha) - np.sqrt(1.0 - alpha**2)) <= 1e-15

@@ -9,7 +9,6 @@ from ripsharp.closedform import canonical_pair
 from ripsharp.errors import NotSpuriousError
 from ripsharp.linalg import mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
 from ripsharp.lmi import (
-    EQ_RANK_TOL,
     INITIAL_DELTA,
     STATUS_NOT_BELOW_ONE,
     STATUS_OPTIMAL,
@@ -56,11 +55,22 @@ def test_reduce_span_contains_columns():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 2))
     z = rng.standard_normal((5, 2))
-    pair = reduce(x, z)
-    assert pair.p.shape == (5, pair.d)
-    assert np.allclose(pair.p.T @ pair.p, np.eye(pair.d), atol=1e-12)
-    assert np.allclose(pair.p @ pair.xhat, x, atol=1e-10)
-    assert np.allclose(pair.p @ pair.zhat, z, atol=1e-10)
+    # and a (7, 3) pair with z in the span of x: d is their rank, 3, not 6
+    x3 = rng.standard_normal((7, 3))
+    for x, z, d in [(x, z, 4), (x3, x3 @ rng.standard_normal((3, 3)), 3)]:
+        pair = reduce(x, z)
+        assert pair.d == d
+        assert pair.p.shape == (x.shape[0], d)
+        assert np.allclose(pair.p.T @ pair.p, np.eye(d), atol=1e-12)
+        assert np.allclose(pair.p @ pair.xhat, x, atol=1e-10)
+        assert np.allclose(pair.p @ pair.zhat, z, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_factor_rejected(bad):
+    x = np.array([[bad, 1.0], [0.5, 0.2], [0.1, -1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        delta_exact(x, np.eye(3, 2))
 
 
 @pytest.mark.parametrize("seed,shape", [(100, (4, 1)), (104, (4, 1)), (200, (5, 2))])
@@ -200,8 +210,8 @@ def test_recovered_operator_matches_gram(shape):
 
 
 def test_recovered_operator_from_singular_gram():
-    # a rank-2 PSD gram matrix with an exactly zero Cholesky pivot, so the
-    # factor comes from factor_gram's eigenvalue path, with two rows
+    # a rank-2 PSD gram matrix: factor_gram drops its two zero eigenvalues,
+    # so H contributes two rows and the identity off the span the rest
     rng = np.random.default_rng(8)
     pair = reduce(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)))
     g = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
@@ -378,7 +388,7 @@ def vec_program(pair):
     m, q = jac.shape
     outers = jac.T[:, :, None] * e[None, None, :]
     rows = svec(0.5 * (outers + outers.transpose(0, 2, 1)))
-    basis = orth_complement(rows.T, rtol=EQ_RANK_TOL)
+    basis = orth_complement(rows.T)
     stack = smat(basis.T, m)
     eye = np.eye(m)
     blocks = [

@@ -167,6 +167,12 @@ def test_instance_json_rejects_dim_mismatch():
         RecoveryInstance.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "instance", None])
+def test_instance_json_rejects_non_object(payload):
+    with pytest.raises(ValueError, match="JSON object"):
+        RecoveryInstance.from_json(json.dumps(payload))
+
+
 def test_evaluate_rejects_wrong_shape():
     inst, rng = random_instance(14, 3, 1)
     with pytest.raises(ValueError):
