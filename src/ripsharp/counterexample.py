@@ -65,6 +65,8 @@ def generate_example(z: np.ndarray, seed: int = 0) -> ExampleInstance:
     n = z.shape[0]
     if n < 2:
         raise ValueError("need dimension n >= 2")
+    if not np.isfinite(z).all():
+        raise ValueError("ground truth z must be finite")
     z_norm = float(np.linalg.norm(z))
     if z_norm == 0.0:
         raise DegenerateInputError("ground truth z must be nonzero")

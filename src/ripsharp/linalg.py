@@ -77,10 +77,15 @@ def factor_gram(h: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _svec_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the lower triangle in column-major order."""
+def svec_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row/column indices of the lower triangle in column-major order, and
+    the svec weight of each entry: 1 on the diagonal, sqrt(2) off it.  The
+    cached arrays are read-only."""
     cols, rows = np.triu_indices(n)
-    return rows, cols
+    out = rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def svec_dim(n: int) -> int:
@@ -96,10 +101,8 @@ def svec(s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[-1]
-    rows, cols = _svec_indices(n)
-    out = s[..., rows, cols].copy()
-    out[..., rows != cols] *= np.sqrt(2.0)
-    return out
+    rows, cols, weights = svec_indices(n)
+    return s[..., rows, cols] * weights
 
 
 def svec_side(m: int) -> int:
@@ -112,11 +115,9 @@ def smat(v: np.ndarray, n: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if n is None:
         n = svec_side(v.shape[-1])
-    rows, cols = _svec_indices(n)
-    off = rows != cols
-    vals = v.copy()
-    vals[..., off] /= np.sqrt(2.0)
-    out = np.zeros(v.shape[:-1] + (n, n))
+    rows, cols, weights = svec_indices(n)
+    vals = v / weights
+    out = np.empty(v.shape[:-1] + (n, n))
     out[..., rows, cols] = vals
     out[..., cols, rows] = vals
     return out

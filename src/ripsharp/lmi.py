@@ -48,7 +48,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import orth
 
 from .errors import NotSpuriousError
 from .linalg import RANK_RTOL, as_factor, factor_gram, orth_complement, smat, svec
@@ -184,7 +183,8 @@ def reduce(x: np.ndarray, z: np.ndarray) -> ReducedPair:
         raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
     if not (np.any(x) or np.any(z)):
         raise NotSpuriousError("x and z are both zero; no span to reduce to")
-    p = orth(np.hstack([x, z]), rcond=RANK_RTOL)
+    u, s, _ = np.linalg.svd(np.hstack([x, z]), full_matrices=False)
+    p = u[:, : int(np.sum(s > RANK_RTOL * s[0]))]
     return ReducedPair(p=p, xhat=p.T @ x, zhat=p.T @ z)
 
 

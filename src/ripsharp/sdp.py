@@ -14,22 +14,25 @@ which is the right trade for the small matrices this package produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import SolverError
-from .linalg import smat, svec, sym
+from .linalg import smat, svec, svec_indices, sym
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"
 STEP_FAILURE = "step-failure"
 
-# Stopping rule: relative duality gap and scaled infeasibilities.
+# Stopping rule: relative duality gap and scaled infeasibilities.  The
+# primal residual rp = F(y) - S is held ten times tighter, because the
+# certificates check F(y) itself while only the slack S is kept in the cone.
 GAP_TOL = 1e-9
 FEAS_TOL = 1e-9
+PRIMAL_FEAS_TOL = 1e-10
 # Ceilings for accepting a numerically stalled iterate.
 STALL_GAP_TOL = 1e-8
 STALL_DINF_TOL = 1e-6
@@ -39,29 +42,42 @@ ITERATION_LIMIT = 200
 STEP_SHRINK = 0.98
 
 
-@dataclass
 class ConeBlock:
-    """One PSD constraint F0 + sum_i y_i coeffs[i] >= 0."""
+    """One PSD constraint F0 + sum_i y_i F_i >= 0, with symmetrized F_i.
 
-    f0: np.ndarray
-    coeffs: np.ndarray
+    The p coefficients of side k are stored once, side by side in the
+    (k, p*k) array ``wide = [F_1 ... F_p]``, so that a product with G on the
+    left acts on all of them at once; ``coeffs`` is a (p, k, k) view of it.
+    """
 
-    def __post_init__(self) -> None:
-        self.f0 = sym(np.asarray(self.f0, dtype=float))
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        self.coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+    __slots__ = ("f0", "wide")
+
+    def __init__(self, f0: np.ndarray, coeffs: np.ndarray):
+        self.f0 = sym(np.asarray(f0, dtype=float))
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 3 or coeffs.shape[1:] != self.f0.shape:
+            raise ValueError("coefficients must be a stack of matrices shaped like F0")
+        coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+        self.wide = coeffs.transpose(1, 0, 2).reshape(self.size, -1)
 
     @property
     def size(self) -> int:
         return self.f0.shape[0]
 
     @property
-    def flat(self) -> np.ndarray:
-        """The coefficients as a (p, k*k) view, one flattened matrix per row."""
-        return self.coeffs.reshape(self.coeffs.shape[0], -1)
+    def coeffs(self) -> np.ndarray:
+        return self.wide.reshape(self.size, -1, self.size).transpose(1, 0, 2)
+
+    def linear(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i F_i."""
+        return y @ self.wide.reshape(self.size, -1, self.size)
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """The vector of <F_i, Z>."""
+        return (self.wide.reshape(self.size, -1, self.size) @ z[:, :, None]).sum(axis=(0, 2))
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        return self.f0 + (y @ self.flat).reshape(self.f0.shape)
+        return self.f0 + self.linear(y)
 
 
 @dataclass
@@ -102,39 +118,49 @@ class SolveResult:
 
 
 class _BlockState:
-    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD."""
+    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
 
-    __slots__ = ("lam", "ginv", "t_svec", "rp_hat")
+    Column i of ``svecs`` is svec(sym(G^-1 F_i G^-T)).  ``lyap`` =
+    2 / (lam_i + lam_j) solves (X D + D X)/2 = R for symmetric X with
+    D = diag(lam) as X = lyap * R, and ``unit`` = (lam_i lam_j)^-1/2 maps a
+    step to D^-1/2 step D^-1/2.
+    """
+
+    __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit")
 
     def __init__(self, blk: ConeBlock, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
-        ls = np.linalg.cholesky(s)
+        ls, info = lapack.dpotrf(s, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("S is not positive definite")
         # NT scaling point W = G G^T with G = L_S Q diag(evals)^-1/4, so that
         # G^-T = L_S^-T Q diag(evals)^1/4 takes one triangular solve.
-        evals, q = np.linalg.eigh(sym(ls.T @ z @ ls))
-        if evals[0] <= 0.0:
+        evals, q, info = lapack.dsyevd(sym(ls.T @ z @ ls))
+        if info != 0 or evals[0] <= 0.0:
             raise np.linalg.LinAlgError("Z is not positive definite")
         self.lam = np.sqrt(evals)
         self.ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
-        t = self.ginv @ blk.coeffs @ self.ginv.T
-        self.t_svec = svec(0.5 * (t + t.transpose(0, 2, 1)))
+        # All p congruences in two products: G^-1 [F_1 ... F_p] as rows
+        # (a, i), then G^-1 times its transpose gives t[c, a, i] =
+        # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
+        k, (rows, cols, weights) = self.lam.size, svec_indices(self.lam.size)
+        t = (self.ginv @ (self.ginv @ blk.wide).reshape(-1, k).T).reshape(k * k, -1)
+        self.svecs = (t[cols * k + rows] + t[rows * k + cols]) * (0.5 * weights)[:, None]
         self.rp_hat = self.ginv @ rp @ self.ginv.T
-
-    def lyapunov(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (X D + D X)/2 = rhs for symmetric X with D = diag(lam)."""
-        return 2.0 * rhs / (self.lam[:, None] + self.lam[None, :])
+        self.lyap = 2.0 / (self.lam[:, None] + self.lam[None, :])
+        self.unit = 1.0 / np.sqrt(np.outer(self.lam, self.lam))
 
 
 def _residuals(prog, y, s_list, z_list, f_scale, c_scale):
     """Residuals rp_k and rd, gap, scaled infeasibilities and objectives."""
     rp_list = [sym(blk.value(y)) - s for blk, s in zip(prog.blocks, s_list)]
-    rd = prog.c - _adjoint(prog, z_list)
+    rd = prog.c - sum(blk.adjoint(z) for blk, z in zip(prog.blocks, z_list))
     # Residuals are scaled by the iterate norms: near-degenerate optima
     # have unbounded multipliers, and the absolute residual then floors
     # at the rounding level of the matching products.
-    s_scale = max(float(np.linalg.norm(s)) for s in s_list)
-    z_scale = max(float(np.linalg.norm(z)) for z in z_list)
+    s_scale = math.sqrt(max(np.vdot(s, s) for s in s_list))
+    z_scale = math.sqrt(max(np.vdot(z, z) for z in z_list))
     gap = sum(float(np.vdot(s, z)) for s, z in zip(s_list, z_list))
-    pinf = max(float(np.linalg.norm(rp)) for rp in rp_list) / (f_scale + s_scale)
+    pinf = math.sqrt(max(np.vdot(rp, rp) for rp in rp_list)) / (f_scale + s_scale)
     dinf = float(np.abs(rd).max()) / (c_scale + z_scale)
     dobj = -sum(float(np.vdot(blk.f0, z)) for blk, z in zip(prog.blocks, z_list))
     return rp_list, rd, gap, pinf, dinf, float(prog.c @ y), dobj
@@ -145,12 +171,13 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
 
     Each iteration is one Mehrotra predictor and one corrector step.  The
     solve stops as ``optimal`` once the duality gap is within ``GAP_TOL``
-    of ``max(1, |pobj|, |dobj|)`` and both scaled infeasibilities are
-    within ``FEAS_TOL``.  It stops short as ``step-failure`` when the NT
-    scaling fails (S or Z is not positive definite) or the Schur complement
-    cannot be factored, or as ``max-iterations`` after ``ITERATION_LIMIT``
-    iterations; then, of the iterates at the rounding floor (gap within
-    ``STALL_GAP_TOL``, primal infeasibility within ``FEAS_TOL``, dual within
+    of ``max(1, |pobj|, |dobj|)``, the scaled primal infeasibility within
+    ``PRIMAL_FEAS_TOL`` and the scaled dual one within ``FEAS_TOL``.  It
+    stops short as ``step-failure`` when the NT scaling fails (S or Z is
+    not positive definite) or the Schur complement cannot be factored, or
+    as ``max-iterations`` after ``ITERATION_LIMIT`` iterations; then, of
+    the iterates at the rounding floor (gap within ``STALL_GAP_TOL``,
+    primal infeasibility within ``FEAS_TOL``, dual within
     ``STALL_DINF_TOL``), the one with the smallest dual infeasibility, if
     any, is returned as ``optimal``; ``iterations`` still counts all
     iterations run, so it exceeds that iterate's index.  The duals are the
@@ -164,7 +191,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         raise SolverError("program has no blocks")
 
     total_dim = sum(prog.block_sizes)
-    zeta = max(1.0, float(np.linalg.norm(prog.c))) / total_dim
+    zeta = max(1.0, float(np.linalg.norm(prog.c))) / np.sqrt(total_dim)
     s_list, z_list = [], []
     for blk in prog.blocks:
         fy = sym(blk.value(y))
@@ -187,7 +214,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         )
         mu = gap / total_dim
         gap_scale = max(1.0, abs(pobj), abs(dobj))
-        if gap <= GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= FEAS_TOL:
+        if gap <= GAP_TOL * gap_scale and pinf <= PRIMAL_FEAS_TOL and dinf <= FEAS_TOL:
             status = OPTIMAL
             break
         # At degenerate optima the dual residual floors at the rounding
@@ -199,17 +226,20 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
 
         try:
             states = [_BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
-            schur = sum(st.t_svec @ st.t_svec.T for st in states)
+            svecs = np.vstack([st.svecs for st in states])
+            schur = svecs.T @ svecs
             schur_chol = _robust_cholesky(schur)
         except np.linalg.LinAlgError:
             status = STEP_FAILURE
             break
+        newton = (states, svecs, schur, schur_chol, rd)
+        units = [st.unit for st in states]
 
         # Predictor: aim at mu = 0.
         lams = [st.lam for st in states]
         centering = [np.diag(-(lam**2)) for lam in lams]
-        _, ds_aff, dz_aff = _direction(states, centering, rd, schur, schur_chol)
-        ap_aff, ad_aff = min(1.0, _max_step(lams, ds_aff)), min(1.0, _max_step(lams, dz_aff))
+        _, ds_aff, dz_aff = _direction(*newton, centering)
+        ap_aff, ad_aff = (min(1.0, t) for t in _max_steps(units, ds_aff, dz_aff))
         gap_aff = sum(
             float(np.vdot(np.diag(lam) + ap_aff * ds, np.diag(lam) + ad_aff * dz))
             for lam, ds, dz in zip(lams, ds_aff, dz_aff)
@@ -221,13 +251,12 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             sigma * mu * np.eye(lam.size) - np.diag(lam**2) - sym(ds @ dz)
             for lam, ds, dz in zip(lams, ds_aff, dz_aff)
         ]
-        dy, ds_hats, dz_hats = _direction(states, rc_hats, rd, schur, schur_chol)
-        ap = min(1.0, STEP_SHRINK * _max_step(lams, ds_hats))
-        ad = min(1.0, STEP_SHRINK * _max_step(lams, dz_hats))
+        dy, ds_hats, dz_hats = _direction(*newton, rc_hats)
+        ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(units, ds_hats, dz_hats))
         # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
         y = y + ap * dy
         s_list = [
-            sym(s + ap * ((dy @ blk.flat).reshape(rp.shape) + rp))
+            sym(s + ap * (blk.linear(dy) + rp))
             for blk, s, rp in zip(prog.blocks, s_list, rp_list)
         ]
         z_list = [
@@ -251,36 +280,39 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     )
 
 
-def _adjoint(prog: ConeProgram, z_list: Sequence[np.ndarray]) -> np.ndarray:
-    return sum(blk.flat @ z.reshape(-1) for blk, z in zip(prog.blocks, z_list))
+def _direction(states, svecs, schur, schur_chol, rd, rc_hats):
+    """Newton solve for one centering rhs: dy, ds_hat = G^-1 dS G^-T, dz_hat = G^T dZ G.
 
-
-def _direction(states, rc_hats, rd, schur, schur_chol):
-    """Newton solve for one centering rhs: dy, ds_hat = G^-1 dS G^-T, dz_hat = G^T dZ G."""
-    rhs = -rd.copy()
-    for st, rc in zip(states, rc_hats):
-        rhs += st.t_svec @ svec(st.lyapunov(rc) - st.rp_hat)
+    ``svecs`` stacks the blocks' ``svecs``, and ``schur = svecs^T svecs``,
+    so the right-hand side takes one product.
+    """
+    xs = [st.lyap * rc for st, rc in zip(states, rc_hats)]
+    rhs = svecs.T @ np.concatenate([svec(x - st.rp_hat) for st, x in zip(states, xs)]) - rd
     dy = lapack.dpotrs(schur_chol, rhs, lower=1)[0]
     # One round of iterative refinement keeps late iterations accurate.
     dy += lapack.dpotrs(schur_chol, rhs - schur @ dy, lower=1)[0]
-    ds_hats = [smat(dy @ st.t_svec, st.lam.size) + st.rp_hat for st in states]
-    dz_hats = [st.lyapunov(rc) - ds for st, rc, ds in zip(states, rc_hats, ds_hats)]
+    ds_hats = [smat(st.svecs @ dy, st.lam.size) + st.rp_hat for st in states]
+    dz_hats = [x - ds for x, ds in zip(xs, ds_hats)]
     return dy, ds_hats, dz_hats
 
 
-def _max_step(lams: Sequence[np.ndarray], deltas: Sequence[np.ndarray]) -> float:
-    """Largest t with  diag(lam_k) + t*delta_k >= 0  on every block k.
+def _max_steps(units, ds_hats, dz_hats) -> tuple[float, float]:
+    """Largest t_s and t_z with diag(lam_k) + t*d_k >= 0 on every block k.
 
-    In the scaled frame S and Z are both diag(lam), so this one bound
-    serves both step lengths: the minimum over blocks of
-    -1/lambda_min(diag(lam)^-1/2 delta diag(lam)^-1/2), or inf if no
-    eigenvalue is negative.
+    In the scaled frame S and Z are both diag(lam), so each bound is the
+    minimum over blocks of -1/lambda_min(unit_k * d_k), with
+    unit_k = (lam_i lam_j)^-1/2, or inf if no eigenvalue is negative.
+    LAPACK is called directly: at these sizes numpy's wrapper costs more
+    than the eigenvalues.
     """
-    lam_min = min(
-        float(np.linalg.eigvalsh(d / np.sqrt(np.outer(lam, lam)))[0])
-        for lam, d in zip(lams, deltas)
-    )
-    return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
+    steps = []
+    for deltas in (ds_hats, dz_hats):
+        eigs = [lapack.dsyevd(unit * d, compute_v=0) for unit, d in zip(units, deltas)]
+        if any(info for *_, info in eigs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        low = min(float(w[0]) for w, *_ in eigs)
+        steps.append(np.inf if low >= -1e-14 else -1.0 / low)
+    return steps[0], steps[1]
 
 
 def _robust_cholesky(m: np.ndarray) -> np.ndarray:

@@ -211,7 +211,9 @@ def test_verify_rejects_mistyped_bundle(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {bundle}: "), payload
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_inputs_exit_one(tmp_path, capsys):
+    # rejected before any arithmetic: a warning raised on the way fails the test
     x, z = tmp_path / "x.txt", tmp_path / "z.txt"
     z.write_text("1 0\n")
     assert cli.main(["lowerbound", "--rho", "nan", "--phi", "90"]) == 1
@@ -220,6 +222,10 @@ def test_nonfinite_inputs_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["delta", "--x", str(x), "--z", str(z)]) == 1
         assert "x must be finite" in capsys.readouterr().err
+        x.write_text(f"1 {entry} 0\n")
+        out = str(tmp_path / "bundle.json")
+        assert cli.main(["counterexample", "--z", str(x), "--out", out]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_csv_independent_of_blas_threads(tmp_path):

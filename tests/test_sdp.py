@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from numpy.random import default_rng
 
 from ripsharp import cli, lmi, sdp
-from ripsharp.linalg import svec
+from ripsharp.linalg import svec, sym
 from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeBlock, ConeProgram, solve
 
 
@@ -134,6 +134,12 @@ def test_block_value_symmetrized():
     assert abs(val[0, 1] - 1.0) < 1e-15
 
 
+def test_block_rejects_mismatched_coefficients():
+    for coeffs in (np.zeros((1, 3, 3)), np.zeros((1, 2, 3)), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            ConeBlock(np.eye(2), coeffs)
+
+
 def test_iteration_cap_reported(monkeypatch):
     monkeypatch.setattr(sdp, "ITERATION_LIMIT", 2)
     res = solve(random_cone_program(3))
@@ -142,11 +148,10 @@ def test_iteration_cap_reported(monkeypatch):
 
 
 def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
-    # (5, 2) ecdf stream 6 sample 54: its solve first reaches the rounding
-    # floor at iteration 10, the next iterate has a smaller dual residual,
-    # and the later ones have dual residuals up to 43x larger until the
-    # scaling fails at iteration 17; every cap from 10 returns the best
-    # floor iterate seen so far
+    # (5, 2) ecdf stream 15 sample 23: its solve first reaches the rounding
+    # floor at iteration 10, the later iterates have dual residuals up to
+    # 1000x larger until the scaling fails at iteration 18; every cap from
+    # 10 returns the best floor iterate seen so far
     seen = []
 
     def capture(prog, y0=None):
@@ -156,7 +161,7 @@ def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
     # the cone program and start point delta_exact passes to sdp.solve
     with monkeypatch.context() as m:
         m.setattr(lmi, "_solve_cone", capture)
-        lmi.delta_exact(*cli.draw_pair(5, 2, 6, 54))
+        lmi.delta_exact(*cli.draw_pair(5, 2, 15, 23))
     prog, y0 = seen[0]
     uncapped = solve(prog, y0=y0).iterations
     dinfs = []
@@ -208,6 +213,10 @@ def reference_step(lam, d):
     return np.inf if lam_min >= 0.0 else -1.0 / lam_min
 
 
+def unit(lam):
+    return 1.0 / np.sqrt(np.outer(lam, lam))
+
+
 def test_max_step_matches_generalized_eigenvalues():
     rng = default_rng(11)
     for cond in (1.0, 1e2, 1e4, 1e6, 1e8):
@@ -215,13 +224,15 @@ def test_max_step_matches_generalized_eigenvalues():
         rtol = 1e-14 * cond
         for _ in range(20):
             size = int(rng.integers(2, 9))
-            lam, d = random_lam(rng, size, cond), random_sym(rng, size)
-            ref = reference_step(lam, d)
-            step = sdp._max_step([lam], [d])
-            if np.isinf(ref):
-                assert np.isinf(step)
-            else:
-                assert abs(step - ref) <= rtol * ref, (cond, step, ref)
+            lam = random_lam(rng, size, cond)
+            ds, dz = random_sym(rng, size), random_sym(rng, size)
+            steps = sdp._max_steps([unit(lam)], [ds], [dz])
+            for d, step in zip((ds, dz), steps):
+                ref = reference_step(lam, d)
+                if np.isinf(ref):
+                    assert np.isinf(step)
+                else:
+                    assert abs(step - ref) <= rtol * ref, (cond, step, ref)
 
 
 def test_max_step_unbounded_for_psd_direction():
@@ -230,22 +241,82 @@ def test_max_step_unbounded_for_psd_direction():
     for cond in (1.0, 1e4, 1e8):
         lam = random_lam(rng, 5, cond)
         for d in (np.zeros((5, 5)), np.eye(5), a @ a.T + 1e-3 * np.eye(5)):
-            assert sdp._max_step([lam], [d]) == np.inf
+            assert sdp._max_steps([unit(lam)], [d], [d]) == (np.inf, np.inf)
     # singular PSD directions: zero eigenvalues computed to rounding
-    assert sdp._max_step([np.ones(5)], [a @ a.T]) == np.inf
+    assert sdp._max_steps([unit(np.ones(5))], [a @ a.T], [a @ a.T]) == (np.inf, np.inf)
+    # one unbounded direction leaves the other step finite
+    primal, dual = sdp._max_steps([unit(np.ones(5))], [np.eye(5)], [-np.eye(5)])
+    assert primal == np.inf and abs(dual - 1.0) <= 1e-15
 
 
 def test_max_step_is_minimum_over_blocks():
     rng = default_rng(13)
     lams = [random_lam(rng, size, 1e3) for size in (2, 4, 4)]
     ds = [random_sym(rng, lam.size) - 2.0 * np.eye(lam.size) for lam in lams]
-    refs = [reference_step(lam, d) for lam, d in zip(lams, ds)]
-    step = sdp._max_step(lams, ds)
-    assert abs(step - min(refs)) <= 1e-10 * min(refs)
+    dz = [random_sym(rng, lam.size) - 2.0 * np.eye(lam.size) for lam in lams]
+    units = [unit(lam) for lam in lams]
+    for side, d in enumerate((ds, dz)):
+        refs = [reference_step(lam, x) for lam, x in zip(lams, d)]
+        step = sdp._max_steps(units, ds, dz)[side]
+        assert abs(step - min(refs)) <= 1e-10 * min(refs)
     # a PSD direction on one block does not bound the step
-    ds[0] = np.eye(2)
-    step = sdp._max_step(lams, ds)
-    assert abs(step - min(refs[1:])) <= 1e-10 * min(refs[1:])
+    for side, d in enumerate((ds, dz)):
+        d[0] = np.eye(2)
+        refs = [reference_step(lam, x) for lam, x in zip(lams[1:], d[1:])]
+        step = sdp._max_steps(units, ds, dz)[side]
+        assert abs(step - min(refs)) <= 1e-10 * min(refs)
+
+
+def random_iterates(rng, prog):
+    # a random interior iterate of prog with nonzero residuals, and its scaling
+    y = rng.standard_normal(prog.num_vars)
+    s_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
+    z_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
+    rp_list, rd = sdp._residuals(prog, y, s_list, z_list, 1.0, 1.0)[:2]
+    states = [sdp._BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
+    return rp_list, rd, states
+
+
+def kernel_programs():
+    # random_cone_program(0..9) and one (6, 3) delta program, blocks (15, 21, 21)
+    progs = [random_cone_program(seed) for seed in range(10)]
+    rng = default_rng((0, 0))
+    pair = lmi.reduce(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
+    return progs + [lmi.build_upper_lmi(pair).cone]
+
+
+def test_scaled_rows_match_per_coefficient_loop():
+    # two products and one gather give every column svec(sym(G^-1 F_i G^-T))
+    rng = default_rng(16)
+    for prog in kernel_programs():
+        _, _, states = random_iterates(rng, prog)
+        for blk, st in zip(prog.blocks, states):
+            ref = np.array([svec(sym(st.ginv @ f @ st.ginv.T)) for f in blk.coeffs]).T
+            err = np.linalg.norm(st.svecs - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref), (prog.block_sizes, err)
+
+
+def test_step_lengths_match_each_block():
+    # at the Newton steps of random iterates, both step lengths of every
+    # block agree with the generalized eigenvalue reference
+    rng = default_rng(17)
+    for prog in kernel_programs():
+        rp_list, rd, states = random_iterates(rng, prog)
+        svecs = np.vstack([st.svecs for st in states])
+        schur = svecs.T @ svecs
+        rc_hats = [random_sym(rng, blk.size) for blk in prog.blocks]
+        _, ds_hats, dz_hats = sdp._direction(
+            states, svecs, schur, sdp._robust_cholesky(schur), rd, rc_hats
+        )
+        for st, ds, dz in zip(states, ds_hats, dz_hats):
+            rtol = 1e-14 * st.lam.max() / st.lam.min()
+            steps = sdp._max_steps([st.unit], [ds], [dz])
+            for d, step in zip((ds, dz), steps):
+                ref = reference_step(st.lam, d)
+                if np.isinf(ref):
+                    assert np.isinf(step)
+                else:
+                    assert abs(step - ref) <= rtol * ref, (prog.block_sizes, step, ref)
 
 
 def test_direction_solves_scaled_newton_system():
@@ -256,17 +327,14 @@ def test_direction_solves_scaled_newton_system():
     rng = default_rng(15)
     for seed in range(10):
         prog = random_cone_program(seed)
-        y = rng.standard_normal(prog.num_vars)
-        s_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
-        z_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
-        rp_list, rd = sdp._residuals(prog, y, s_list, z_list, 1.0, 1.0)[:2]
-        states = [sdp._BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
-        schur = sum(st.t_svec @ st.t_svec.T for st in states)
+        rp_list, rd, states = random_iterates(rng, prog)
+        svecs = np.vstack([st.svecs for st in states])
+        schur = svecs.T @ svecs
         rc_hats = [random_sym(rng, blk.size) for blk in prog.blocks]
         dy, ds_hats, dz_hats = sdp._direction(
-            states, rc_hats, rd, schur, sdp._robust_cholesky(schur)
+            states, svecs, schur, sdp._robust_cholesky(schur), rd, rc_hats
         )
-        terms = [st.t_svec @ svec(dz) for st, dz in zip(states, dz_hats)]
+        terms = [svec(dz) @ st.svecs for st, dz in zip(states, dz_hats)]
         scale = np.linalg.norm(rd) + sum(np.linalg.norm(t) for t in terms)
         assert np.linalg.norm(sum(terms) - rd) <= rtol * scale, seed
         for blk, st, rp, ds_hat in zip(prog.blocks, states, rp_list, ds_hats):
@@ -305,10 +373,31 @@ def test_contractions_match_reference_forms():
             np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
             for blk, z in zip(prog.blocks, zs)
         )
-        adj = sdp._adjoint(prog, zs)
+        adj = sum(blk.adjoint(z) for blk, z in zip(prog.blocks, zs))
         assert np.linalg.norm(adj - ref) <= rtol * np.linalg.norm(ref)
 
 
 def test_coefficient_view_shares_memory():
+    # one stored layout: coeffs is a view of the side-by-side coefficients
     blk = random_cone_program(0).blocks[0]
-    assert np.shares_memory(blk.flat, blk.coeffs)
+    assert np.shares_memory(blk.wide, blk.coeffs)
+    assert blk.wide.shape == (blk.size, blk.coeffs.shape[0] * blk.size)
+
+
+def test_iteration_totals_within_budget(monkeypatch):
+    # interior-point iterations summed over the criterion-4 sweep (3749) and
+    # the 100 (5, 2) samples of ecdf stream 0 (991), the same at one and two
+    # BLAS threads, with 5% headroom: a change that costs iterations fails
+    counts = []
+
+    def count(prog, y0=None):
+        res = solve(prog, y0=y0)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(lmi, "_solve_cone", count)
+    cli.sweep_grid(cli.SweepConfig(0.0, 2.0, 21, 0.0, 90.0, 19, mode="exact"))
+    assert len(counts) == 398 and sum(counts) <= 3936, sum(counts)
+    counts.clear()
+    cli.sample_ecdf(cli.EcdfConfig(n=5, r=2, num_samples=100, seed=0))
+    assert len(counts) == 100 and sum(counts) <= 1040, sum(counts)
