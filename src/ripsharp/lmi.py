@@ -165,14 +165,20 @@ class CertificateReport:
     ``gram-upper`` for the primal rows; ``dual-trace``, ``dual-equation``
     and the three ``dual-*-psd`` cone checks when a dual is present; and
     ``lift-*`` variants after expanding the solution to the ambient
-    dimension through the pair's span basis.
+    dimension through the pair's span basis.  Both frames share ``scale``
+    = max(1, largest multiplier norm, ||x x^T - z z^T||_F), which the checks
+    grow with.
     """
 
     checks: dict[str, float]
     gap: float | None
+    scale: float = 1.0
 
     def max_violation(self) -> float:
         return max(self.checks.values(), default=0.0)
+
+    def max_relative_violation(self) -> float:
+        return self.max_violation() / self.scale
 
 
 def reduce(x: np.ndarray, z: np.ndarray) -> ReducedPair:
@@ -379,7 +385,8 @@ def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateRe
             floor = float(np.linalg.eigvalsh(m)[0])
             checks[f"{prefix}dual-{name}-psd"] = max(0.0, -floor)
     gap = None if dual is None else delta - float(np.trace(dual.u1) - np.trace(dual.u2))
-    return CertificateReport(checks=checks, gap=gap)
+    sizes = [] if dual is None else [np.linalg.norm(m) for m in (dual.y, dual.u1, dual.u2, dual.v)]
+    return CertificateReport(checks, gap, float(max(1.0, *sizes, np.linalg.norm(evec_d))))
 
 
 def _block_trace(v: np.ndarray, r: int) -> np.ndarray:

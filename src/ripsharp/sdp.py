@@ -10,6 +10,7 @@ the corrector are taken in the NT-scaled frame, where S and Z are one
 diagonal matrix; only the accepted step is unscaled.  All blocks are dense;
 the Schur complement is assembled explicitly and factored by Cholesky,
 which is the right trade for the small matrices this package produces.
+Each iteration runs on one packed iterate spanning every block (:class:`_Layout`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import SolverError
-from .linalg import smat, svec, svec_indices, sym
+from .linalg import svec_indices, sym
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"
@@ -68,16 +69,8 @@ class ConeBlock:
     def coeffs(self) -> np.ndarray:
         return self.wide.reshape(self.size, -1, self.size).transpose(1, 0, 2)
 
-    def linear(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i F_i."""
-        return y @ self.wide.reshape(self.size, -1, self.size)
-
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """The vector of <F_i, Z>."""
-        return (self.wide.reshape(self.size, -1, self.size) @ z[:, :, None]).sum(axis=(0, 2))
-
     def value(self, y: np.ndarray) -> np.ndarray:
-        return self.f0 + self.linear(y)
+        return self.f0 + y @ self.wide.reshape(self.size, -1, self.size)
 
 
 @dataclass
@@ -117,53 +110,109 @@ class SolveResult:
     dinf: float
 
 
-class _BlockState:
-    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
+class _Layout:
+    """Tables that lay every block of a program side by side; n = sum of sizes.
 
-    Column i of ``svecs`` is svec(sym(G^-1 F_i G^-T)).  ``lyap`` =
-    2 / (lam_i + lam_j) solves (X D + D X)/2 = R for symmetric X with
-    D = diag(lam) as X = lyap * R, and ``unit`` = (lam_i lam_j)^-1/2 maps a
-    step to D^-1/2 step D^-1/2.
+    A packed matrix holds the blocks' row-major entries in turn, from
+    ``starts``; ``tperm`` transposes it and ``bd`` places it in the n x n
+    block-diagonal matrix.  A packed svec holds the blocks' svecs in turn:
+    entry e, of weight w[e], sits at row i[e] >= column j[e] of that matrix
+    (flat position ``lower``, mirror ``upper``) and pairs eigenvalues i[e]
+    and j[e]; ``eye`` = svec(I).  Row i of ``a`` is the blocks' vec F_i.
     """
 
-    __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit")
+    def __init__(self, prog: ConeProgram):
+        self.sizes = sizes = prog.block_sizes
+        self.n = n = sum(sizes)
+        self.wides = [blk.wide for blk in prog.blocks]
+        self.a = np.hstack([blk.coeffs.reshape(prog.num_vars, -1) for blk in prog.blocks])
+        self.f0 = np.concatenate([blk.f0.ravel() for blk in prog.blocks])
+        self.starts = np.cumsum((0,) + tuple(k * k for k in sizes[:-1]))
+        parts = []
+        for off, start, k in zip(np.cumsum((0,) + sizes[:-1]), self.starts, sizes):
+            rows, cols = np.divmod(np.arange(k * k), k)
+            sv_rows, sv_cols, weights = svec_indices(k)
+            parts.append(((off + rows) * n + off + cols, start + cols * k + rows,
+                          off + sv_rows, off + sv_cols, weights))
+        self.bd, self.tperm, self.i, self.j, self.w = map(np.concatenate, zip(*parts))
+        self.eye = (self.i == self.j).astype(float)
+        self.lower, self.upper = self.i * n + self.j, self.j * n + self.i
 
-    def __init__(self, blk: ConeBlock, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
-        ls, info = lapack.dpotrf(s, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("S is not positive definite")
-        # NT scaling point W = G G^T with G = L_S Q diag(evals)^-1/4, so that
-        # G^-T = L_S^-T Q diag(evals)^1/4 takes one triangular solve.
-        evals, q, info = lapack.dsyevd(sym(ls.T @ z @ ls))
-        if info != 0 or evals[0] <= 0.0:
-            raise np.linalg.LinAlgError("Z is not positive definite")
-        self.lam = np.sqrt(evals)
-        self.ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
-        # All p congruences in two products: G^-1 [F_1 ... F_p] as rows
-        # (a, i), then G^-1 times its transpose gives t[c, a, i] =
-        # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
-        k, (rows, cols, weights) = self.lam.size, svec_indices(self.lam.size)
-        t = (self.ginv @ (self.ginv @ blk.wide).reshape(-1, k).T).reshape(k * k, -1)
-        self.svecs = (t[cols * k + rows] + t[rows * k + cols]) * (0.5 * weights)[:, None]
-        self.rp_hat = self.ginv @ rp @ self.ginv.T
-        self.lyap = 2.0 / (self.lam[:, None] + self.lam[None, :])
-        self.unit = 1.0 / np.sqrt(np.outer(self.lam, self.lam))
+    def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
+        return [packed[s : s + k * k].reshape(k, k) for s, k in zip(self.starts, self.sizes)]
+
+    def sym(self, packed: np.ndarray) -> np.ndarray:
+        return 0.5 * (packed + packed[self.tperm])
+
+    def full(self, packed: np.ndarray) -> np.ndarray:
+        """The n x n block-diagonal matrix of a packed matrix."""
+        out = np.zeros(self.n * self.n)
+        out[self.bd] = packed
+        return out.reshape(self.n, self.n)
+
+    def smat(self, v: np.ndarray) -> np.ndarray:
+        """The n x n block-diagonal matrix of a packed svec."""
+        out = np.zeros(self.n * self.n)
+        out[self.lower] = out[self.upper] = v / self.w
+        return out.reshape(self.n, self.n)
+
+    def svec(self, m: np.ndarray) -> np.ndarray:
+        """Packed svec of the symmetric part of an n x n block-diagonal matrix."""
+        return (np.take(m, self.lower) + np.take(m, self.upper)) * (0.5 * self.w)
 
 
-def _residuals(prog, y, s_list, z_list, f_scale, c_scale):
-    """Residuals rp_k and rd, gap, scaled infeasibilities and objectives."""
-    rp_list = [sym(blk.value(y)) - s for blk, s in zip(prog.blocks, s_list)]
-    rd = prog.c - sum(blk.adjoint(z) for blk, z in zip(prog.blocks, z_list))
-    # Residuals are scaled by the iterate norms: near-degenerate optima
-    # have unbounded multipliers, and the absolute residual then floors
-    # at the rounding level of the matching products.
-    s_scale = math.sqrt(max(np.vdot(s, s) for s in s_list))
-    z_scale = math.sqrt(max(np.vdot(z, z) for z in z_list))
-    gap = sum(float(np.vdot(s, z)) for s, z in zip(s_list, z_list))
-    pinf = math.sqrt(max(np.vdot(rp, rp) for rp in rp_list)) / (f_scale + s_scale)
+class _Scaling:
+    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
+
+    Factored block by block, then packed: ``ginv`` is the block-diagonal
+    G^-1, column i of ``svecs`` the packed svec(sym(G^-1 F_i G^-T)),
+    ``rp_hat`` the svec of G^-1 rp G^-T's lower triangle (unsymmetrized),
+    ``d`` = svec(D), D = diag(lam).  Per svec entry (i, j), X = lyap * R
+    with ``lyap`` = 2 / (lam_i + lam_j) solves (X D + D X)/2 = R, and
+    ``unit`` = (lam_i lam_j)^-1/2 maps a step to D^-1/2 step D^-1/2.
+    """
+
+    __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit", "d")
+
+    def __init__(self, lay: _Layout, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
+        parts = []
+        for wide, s_k, z_k in zip(lay.wides, lay.blocks(s), lay.blocks(z)):
+            ls, info = lapack.dpotrf(s_k, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("S is not positive definite")
+            # NT scaling point W = G G^T with G = L_S Q diag(evals)^-1/4, so that
+            # G^-T = L_S^-T Q diag(evals)^1/4 takes one triangular solve.
+            evals, q, info = lapack.dsyevd(sym(ls.T @ z_k @ ls))
+            if info != 0 or evals[0] <= 0.0:
+                raise np.linalg.LinAlgError("Z is not positive definite")
+            ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
+            # All p congruences in two products: G^-1 [F_1 ... F_p] as rows
+            # (a, i), then G^-1 times its transpose gives t[c, a, i] =
+            # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
+            k, (rows, cols, weights) = evals.size, svec_indices(evals.size)
+            t = (ginv @ (ginv @ wide).reshape(-1, k).T).reshape(k * k, -1)
+            svecs = (t[cols * k + rows] + t[rows * k + cols]) * (0.5 * weights)[:, None]
+            parts.append((np.sqrt(evals), ginv.ravel(), svecs))
+        self.lam, ginv, self.svecs = map(np.concatenate, zip(*parts))
+        self.ginv = lay.full(ginv)
+        self.rp_hat = np.take(self.ginv @ lay.full(rp) @ self.ginv.T, lay.lower) * lay.w
+        lam_i, lam_j = self.lam[lay.i], self.lam[lay.j]
+        self.lyap, self.unit = 2.0 / (lam_i + lam_j), 1.0 / np.sqrt(lam_i * lam_j)
+        self.d = lay.eye * lam_i
+
+
+def _residuals(lay, c, y, s, z, f_scale, c_scale):
+    """Residuals rp and rd, gap, scaled infeasibilities and objectives."""
+    rp = lay.sym(lay.f0 + y @ lay.a) - s
+    rd = c - lay.a @ z
+    # Residuals are scaled by the iterate norms, largest over the blocks:
+    # near-degenerate optima have unbounded multipliers, and the absolute
+    # residual then floors at the rounding level of the matching products.
+    s_scale = math.sqrt(np.add.reduceat(s * s, lay.starts).max())
+    z_scale = math.sqrt(np.add.reduceat(z * z, lay.starts).max())
+    pinf = math.sqrt(np.add.reduceat(rp * rp, lay.starts).max()) / (f_scale + s_scale)
     dinf = float(np.abs(rd).max()) / (c_scale + z_scale)
-    dobj = -sum(float(np.vdot(blk.f0, z)) for blk, z in zip(prog.blocks, z_list))
-    return rp_list, rd, gap, pinf, dinf, float(prog.c @ y), dobj
+    return rp, rd, float(s @ z), pinf, dinf, float(c @ y), -float(lay.f0 @ z)
 
 
 def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
@@ -190,17 +239,15 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     if not prog.blocks:
         raise SolverError("program has no blocks")
 
-    total_dim = sum(prog.block_sizes)
-    zeta = max(1.0, float(np.linalg.norm(prog.c))) / np.sqrt(total_dim)
-    s_list, z_list = [], []
-    for blk in prog.blocks:
-        fy = sym(blk.value(y))
-        lam_min = float(np.linalg.eigvalsh(fy)[0])
-        scale = max(1.0, float(np.linalg.norm(fy, 2)))
-        if lam_min <= 1e-3 * scale:
-            fy = fy + (1e-1 * scale - lam_min) * np.eye(blk.size)
-        s_list.append(fy)
-        z_list.append(zeta * np.eye(blk.size))
+    lay = _Layout(prog)
+    s = lay.sym(lay.f0 + y @ lay.a)
+    for s_k in lay.blocks(s):
+        evals = np.linalg.eigvalsh(s_k)
+        scale = max(1.0, float(np.abs(evals).max()))
+        if evals[0] <= 1e-3 * scale:
+            s_k += (1e-1 * scale - evals[0]) * np.eye(s_k.shape[0])
+    zeta = max(1.0, float(np.linalg.norm(prog.c))) / np.sqrt(lay.n)
+    z = zeta * np.eye(lay.n).ravel()[lay.bd]
 
     c_scale = 1.0 + float(np.abs(prog.c).max(initial=0.0))
     f_scale = 1.0 + max(float(np.linalg.norm(b.f0)) for b in prog.blocks)
@@ -209,10 +256,8 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     floor, floor_dinf = None, STALL_DINF_TOL
 
     for it in range(1, ITERATION_LIMIT + 1):
-        rp_list, rd, gap, pinf, dinf, pobj, dobj = _residuals(
-            prog, y, s_list, z_list, f_scale, c_scale
-        )
-        mu = gap / total_dim
+        rp, rd, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog.c, y, s, z, f_scale, c_scale)
+        mu = gap / lay.n
         gap_scale = max(1.0, abs(pobj), abs(dobj))
         if gap <= GAP_TOL * gap_scale and pinf <= PRIMAL_FEAS_TOL and dinf <= FEAS_TOL:
             status = OPTIMAL
@@ -222,54 +267,37 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         # then only gathers rounding; of the iterates where complementarity
         # and primal feasibility made it, the one with the smallest is kept.
         if gap <= STALL_GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= floor_dinf:
-            floor, floor_dinf = (y, s_list, z_list), dinf
+            floor, floor_dinf = (y, s, z), dinf
 
         try:
-            states = [_BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
-            svecs = np.vstack([st.svecs for st in states])
-            schur = svecs.T @ svecs
-            schur_chol = _robust_cholesky(schur)
+            sc = _Scaling(lay, s, z, rp)
+            schur = sc.svecs.T @ sc.svecs
+            newton = (sc, schur, _robust_cholesky(schur), rd)
         except np.linalg.LinAlgError:
             status = STEP_FAILURE
             break
-        newton = (states, svecs, schur, schur_chol, rd)
-        units = [st.unit for st in states]
 
         # Predictor: aim at mu = 0.
-        lams = [st.lam for st in states]
-        centering = [np.diag(-(lam**2)) for lam in lams]
-        _, ds_aff, dz_aff = _direction(*newton, centering)
-        ap_aff, ad_aff = (min(1.0, t) for t in _max_steps(units, ds_aff, dz_aff))
-        gap_aff = sum(
-            float(np.vdot(np.diag(lam) + ap_aff * ds, np.diag(lam) + ad_aff * dz))
-            for lam, ds, dz in zip(lams, ds_aff, dz_aff)
-        )
+        _, ds_aff, dz_aff = _direction(*newton, -(sc.d**2))
+        ap_aff, ad_aff = (min(1.0, t) for t in _max_steps(lay, sc.unit, ds_aff, dz_aff))
+        gap_aff = float((sc.d + ap_aff * ds_aff) @ (sc.d + ad_aff * dz_aff))
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-10, 1.0))
 
         # Corrector: recenter and cancel the second-order term.
-        rc_hats = [
-            sigma * mu * np.eye(lam.size) - np.diag(lam**2) - sym(ds @ dz)
-            for lam, ds, dz in zip(lams, ds_aff, dz_aff)
-        ]
-        dy, ds_hats, dz_hats = _direction(*newton, rc_hats)
-        ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(units, ds_hats, dz_hats))
+        cross = lay.svec(lay.smat(ds_aff) @ lay.smat(dz_aff))
+        dy, ds, dz = _direction(*newton, sigma * mu * lay.eye - sc.d**2 - cross)
+        ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(lay, sc.unit, ds, dz))
         # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
         y = y + ap * dy
-        s_list = [
-            sym(s + ap * (blk.linear(dy) + rp))
-            for blk, s, rp in zip(prog.blocks, s_list, rp_list)
-        ]
-        z_list = [
-            sym(z + ad * (st.ginv.T @ dz @ st.ginv))
-            for st, z, dz in zip(states, z_list, dz_hats)
-        ]
+        s = lay.sym(s + ap * (dy @ lay.a + rp))
+        z = lay.sym(z + ad * np.take(sc.ginv.T @ lay.smat(dz) @ sc.ginv, lay.bd))
 
     if status != OPTIMAL and floor is not None:
-        (y, s_list, z_list), status = floor, OPTIMAL
-    _, _, gap, pinf, dinf, pobj, dobj = _residuals(prog, y, s_list, z_list, f_scale, c_scale)
+        (y, s, z), status = floor, OPTIMAL
+    _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog.c, y, s, z, f_scale, c_scale)
     return SolveResult(
         y=y,
-        duals=[z.copy() for z in z_list],
+        duals=[z_k.copy() for z_k in lay.blocks(z)],
         gap=gap,
         status=status,
         pobj=pobj,
@@ -280,48 +308,43 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     )
 
 
-def _direction(states, svecs, schur, schur_chol, rd, rc_hats):
-    """Newton solve for one centering rhs: dy, ds_hat = G^-1 dS G^-T, dz_hat = G^T dZ G.
-
-    ``svecs`` stacks the blocks' ``svecs``, and ``schur = svecs^T svecs``,
-    so the right-hand side takes one product.
-    """
-    xs = [st.lyap * rc for st, rc in zip(states, rc_hats)]
-    rhs = svecs.T @ np.concatenate([svec(x - st.rp_hat) for st, x in zip(states, xs)]) - rd
+def _direction(sc, schur, schur_chol, rd, rc):
+    """Newton solve for packed centering rc: dy, svec(G^-1 dS G^-T), svec(G^T dZ G)."""
+    x = sc.lyap * rc
+    rhs = sc.svecs.T @ (x - sc.rp_hat) - rd
     dy = lapack.dpotrs(schur_chol, rhs, lower=1)[0]
     # One round of iterative refinement keeps late iterations accurate.
     dy += lapack.dpotrs(schur_chol, rhs - schur @ dy, lower=1)[0]
-    ds_hats = [smat(st.svecs @ dy, st.lam.size) + st.rp_hat for st in states]
-    dz_hats = [x - ds for x, ds in zip(xs, ds_hats)]
-    return dy, ds_hats, dz_hats
+    ds = sc.svecs @ dy + sc.rp_hat
+    return dy, ds, x - ds
 
 
-def _max_steps(units, ds_hats, dz_hats) -> tuple[float, float]:
-    """Largest t_s and t_z with diag(lam_k) + t*d_k >= 0 on every block k.
+def _max_steps(lay, unit, ds, dz) -> tuple[float, float]:
+    """Largest t_s and t_z with diag(lam) + t*d >= 0 for packed svec steps d.
 
-    In the scaled frame S and Z are both diag(lam), so each bound is the
-    minimum over blocks of -1/lambda_min(unit_k * d_k), with
-    unit_k = (lam_i lam_j)^-1/2, or inf if no eigenvalue is negative.
-    LAPACK is called directly: at these sizes numpy's wrapper costs more
-    than the eigenvalues.
+    In the scaled frame S and Z are both diag(lam), so each bound is
+    -1/lambda_min(D^-1/2 d D^-1/2), with ``unit`` = (lam_i lam_j)^-1/2, or
+    inf if no eigenvalue is negative; LAPACK takes the eigenvalues of the
+    block-diagonal matrix directly, keeping its off-block zeros exact.
     """
     steps = []
-    for deltas in (ds_hats, dz_hats):
-        eigs = [lapack.dsyevd(unit * d, compute_v=0) for unit, d in zip(units, deltas)]
-        if any(info for *_, info in eigs):
+    for d in (ds, dz):
+        w, _, info = lapack.dsyevd(lay.smat(unit * d), compute_v=0)
+        if info:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
-        low = min(float(w[0]) for w, *_ in eigs)
-        steps.append(np.inf if low >= -1e-14 else -1.0 / low)
+        steps.append(np.inf if w[0] >= -1e-14 else -1.0 / float(w[0]))
     return steps[0], steps[1]
 
 
 def _robust_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of m, with growing diagonal jitter if needed."""
-    jitter = 0.0
-    base = max(float(np.trace(m)) / max(m.shape[0], 1), 1.0)
-    for _ in range(4):
-        chol, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
+    """Lower Cholesky factor of m, retried with growing diagonal jitter if needed."""
+    chol, info = lapack.dpotrf(m, lower=1)
+    jitter = 1e-14 * max(float(np.trace(m)) / max(m.shape[0], 1), 1.0)
+    for _ in range(3):
         if info == 0:
-            return chol
-        jitter = max(10.0 * jitter, 1e-14 * base)
-    raise np.linalg.LinAlgError("Schur complement not positive definite")
+            break
+        chol, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
+        jitter *= 10.0
+    if info != 0:
+        raise np.linalg.LinAlgError("Schur complement not positive definite")
+    return chol

@@ -416,6 +416,31 @@ def _certificate_bound(x, z, sol):
     return 1e-8 * max(1.0, size, float(np.linalg.norm(x @ x.T - z @ z.T)))
 
 
+@pytest.mark.parametrize("t", [1e-3, 1.0, 10.0])
+def test_certificate_scale_in_both_frames(t):
+    # the report's scale is max(1, multiplier norm, ||x x^T - z z^T||_F),
+    # whether the residual is taken from the reduced or the ambient factors,
+    # and the relative violation bounds the checks of both frames.  On
+    # (5, 2) ecdf stream 0 sample 3 scaled by t, the multiplier y sets it
+    # at t = 1e-3 (3.6e6) and the residual (about 10.8 t^2) at 1 and 10
+    x, z = (t * m for m in cli.draw_pair(5, 2, 0, 3))
+    pair = reduce(x, z)
+    sol = delta_exact(x, z)
+    rep = verify_certificates(sol, pair)
+    assert abs(rep.scale - 1e8 * _certificate_bound(x, z, sol)) <= 1e-12 * rep.scale
+    reduced = max(1.0, np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
+    assert rep.scale >= reduced and (rep.scale > 1e6) == (t < 1.0)
+    assert rep.max_relative_violation() == rep.max_violation() / rep.scale
+    for lifted in (False, True):
+        frame = [v for k, v in rep.checks.items() if k.startswith("lift-") == lifted]
+        assert len(frame) >= 9
+        assert max(frame) / rep.scale <= rep.max_relative_violation() <= 1e-8
+    # without a dual only the residual sets the scale
+    rep = verify_certificates(dataclasses.replace(sol, dual=None), pair)
+    assert abs(rep.scale - reduced) <= 1e-12 * reduced
+    assert rep.max_relative_violation() <= 1e-8
+
+
 SHAPES_AND_SEEDS = [(4, 1, 20), (4, 1, 21), (5, 2, 22), (5, 2, 23), (6, 3, 24), (6, 3, 25)]
 
 

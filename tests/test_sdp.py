@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from numpy.random import default_rng
 
 from ripsharp import cli, lmi, sdp
-from ripsharp.linalg import svec, sym
+from ripsharp.linalg import smat, svec, sym
 from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeBlock, ConeProgram, solve
 
 
@@ -213,8 +213,48 @@ def reference_step(lam, d):
     return np.inf if lam_min >= 0.0 else -1.0 / lam_min
 
 
-def unit(lam):
-    return 1.0 / np.sqrt(np.outer(lam, lam))
+def layout(sizes):
+    # the index tables of a program with blocks of these sizes
+    blocks = [ConeBlock(np.eye(k), np.zeros((1, k, k))) for k in sizes]
+    return sdp._Layout(ConeProgram(c=np.zeros(1), blocks=blocks))
+
+
+def block_slices(lay):
+    # per block: its rows of a packed svec and its rows of the n x n matrix
+    ends = np.cumsum([k * (k + 1) // 2 for k in lay.sizes])
+    offs = np.cumsum(lay.sizes)
+    return [(slice(e - k * (k + 1) // 2, e), slice(o - k, o))
+            for e, o, k in zip(ends, offs, lay.sizes)]
+
+
+def packed_steps(lams, ds, dz):
+    # _max_steps on the packed svecs of the blocks' scaled steps
+    lay = layout([lam.size for lam in lams])
+    lam = np.concatenate(lams)
+    unit = 1.0 / np.sqrt(lam[lay.i] * lam[lay.j])
+    pack = [np.concatenate([svec(x) for x in d]) for d in (ds, dz)]
+    return sdp._max_steps(lay, unit, *pack)
+
+
+def test_layout_tables():
+    # the transpose permutation is an involution, the svec gather of a
+    # packed iterate is the blocks' svecs side by side, and the
+    # block-diagonal scatter is zero off the blocks
+    rng = default_rng(19)
+    more = [random_cone_program(k).block_sizes for k in range(3)]
+    for sizes in [(2, 3, 3), (1,), (4, 1, 2)] + more:
+        lay = layout(sizes)
+        packed = rng.standard_normal(sum(k * k for k in sizes))
+        assert np.array_equal(lay.tperm[lay.tperm], np.arange(packed.size))
+        for blk, blk_t in zip(lay.blocks(packed), lay.blocks(packed[lay.tperm])):
+            assert np.array_equal(blk_t, blk.T)
+        assert np.array_equal(lay.full(packed), sla.block_diag(*lay.blocks(packed)))
+        sym_packed = lay.sym(packed)
+        v = lay.svec(lay.full(sym_packed))
+        assert np.array_equal(v, np.concatenate([svec(b) for b in lay.blocks(sym_packed)]))
+        assert np.allclose(lay.smat(v), lay.full(sym_packed), rtol=0.0, atol=1e-15)
+        lam = rng.standard_normal(lay.n)
+        assert np.array_equal(lay.svec(np.diag(lam)), lay.eye * lam[lay.i])
 
 
 def test_max_step_matches_generalized_eigenvalues():
@@ -226,7 +266,7 @@ def test_max_step_matches_generalized_eigenvalues():
             size = int(rng.integers(2, 9))
             lam = random_lam(rng, size, cond)
             ds, dz = random_sym(rng, size), random_sym(rng, size)
-            steps = sdp._max_steps([unit(lam)], [ds], [dz])
+            steps = packed_steps([lam], [ds], [dz])
             for d, step in zip((ds, dz), steps):
                 ref = reference_step(lam, d)
                 if np.isinf(ref):
@@ -241,11 +281,11 @@ def test_max_step_unbounded_for_psd_direction():
     for cond in (1.0, 1e4, 1e8):
         lam = random_lam(rng, 5, cond)
         for d in (np.zeros((5, 5)), np.eye(5), a @ a.T + 1e-3 * np.eye(5)):
-            assert sdp._max_steps([unit(lam)], [d], [d]) == (np.inf, np.inf)
+            assert packed_steps([lam], [d], [d]) == (np.inf, np.inf)
     # singular PSD directions: zero eigenvalues computed to rounding
-    assert sdp._max_steps([unit(np.ones(5))], [a @ a.T], [a @ a.T]) == (np.inf, np.inf)
+    assert packed_steps([np.ones(5)], [a @ a.T], [a @ a.T]) == (np.inf, np.inf)
     # one unbounded direction leaves the other step finite
-    primal, dual = sdp._max_steps([unit(np.ones(5))], [np.eye(5)], [-np.eye(5)])
+    primal, dual = packed_steps([np.ones(5)], [np.eye(5)], [-np.eye(5)])
     assert primal == np.inf and abs(dual - 1.0) <= 1e-15
 
 
@@ -254,27 +294,47 @@ def test_max_step_is_minimum_over_blocks():
     lams = [random_lam(rng, size, 1e3) for size in (2, 4, 4)]
     ds = [random_sym(rng, lam.size) - 2.0 * np.eye(lam.size) for lam in lams]
     dz = [random_sym(rng, lam.size) - 2.0 * np.eye(lam.size) for lam in lams]
-    units = [unit(lam) for lam in lams]
     for side, d in enumerate((ds, dz)):
         refs = [reference_step(lam, x) for lam, x in zip(lams, d)]
-        step = sdp._max_steps(units, ds, dz)[side]
+        step = packed_steps(lams, ds, dz)[side]
         assert abs(step - min(refs)) <= 1e-10 * min(refs)
     # a PSD direction on one block does not bound the step
     for side, d in enumerate((ds, dz)):
         d[0] = np.eye(2)
         refs = [reference_step(lam, x) for lam, x in zip(lams[1:], d[1:])]
-        step = sdp._max_steps(units, ds, dz)[side]
+        step = packed_steps(lams, ds, dz)[side]
         assert abs(step - min(refs)) <= 1e-10 * min(refs)
+
+
+def test_max_step_with_shared_eigenvalue():
+    # blocks whose scaled frames share eigenvalues exactly, some or all:
+    # the packed step is still the minimum of the blocks' own steps
+    rng = default_rng(18)
+    for _ in range(20):
+        lam = random_lam(rng, 3, 1e3)
+        for lams in ([lam, lam.copy()], [lam, rng.permutation(np.append(lam[:2], 7.0))]):
+            ds = [random_sym(rng, 3) - np.eye(3) for _ in lams]
+            dz = [random_sym(rng, 3) - np.eye(3) for _ in lams]
+            for side, d in enumerate((ds, dz)):
+                refs = [reference_step(l, x) for l, x in zip(lams, d)]
+                step = packed_steps(lams, ds, dz)[side]
+                assert abs(step - min(refs)) <= 1e-10 * min(refs), (step, refs)
 
 
 def random_iterates(rng, prog):
     # a random interior iterate of prog with nonzero residuals, and its scaling
+    lay = sdp._Layout(prog)
     y = rng.standard_normal(prog.num_vars)
-    s_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
-    z_list = [random_pd_matrix(rng, blk.size) for blk in prog.blocks]
-    rp_list, rd = sdp._residuals(prog, y, s_list, z_list, 1.0, 1.0)[:2]
-    states = [sdp._BlockState(*a) for a in zip(prog.blocks, s_list, z_list, rp_list)]
-    return rp_list, rd, states
+    s, z = (np.concatenate([random_pd_matrix(rng, k).ravel() for k in lay.sizes]) for _ in "sz")
+    rp, rd = sdp._residuals(lay, prog.c, y, s, z, 1.0, 1.0)[:2]
+    return lay, rp, rd, sdp._Scaling(lay, s, z, rp)
+
+
+def random_direction(rng, lay, rd, sc):
+    # the Newton direction of a random packed centering term
+    schur = sc.svecs.T @ sc.svecs
+    rc = np.concatenate([svec(random_sym(rng, k)) for k in lay.sizes])
+    return sdp._direction(sc, schur, sdp._robust_cholesky(schur), rd, rc)
 
 
 def kernel_programs():
@@ -289,34 +349,36 @@ def test_scaled_rows_match_per_coefficient_loop():
     # two products and one gather give every column svec(sym(G^-1 F_i G^-T))
     rng = default_rng(16)
     for prog in kernel_programs():
-        _, _, states = random_iterates(rng, prog)
-        for blk, st in zip(prog.blocks, states):
-            ref = np.array([svec(sym(st.ginv @ f @ st.ginv.T)) for f in blk.coeffs]).T
-            err = np.linalg.norm(st.svecs - ref)
+        lay, _, _, sc = random_iterates(rng, prog)
+        for blk, (rows, sub) in zip(prog.blocks, block_slices(lay)):
+            ginv = sc.ginv[sub, sub]
+            ref = np.array([svec(sym(ginv @ f @ ginv.T)) for f in blk.coeffs]).T
+            err = np.linalg.norm(sc.svecs[rows] - ref)
             assert err <= 1e-13 * np.linalg.norm(ref), (prog.block_sizes, err)
 
 
 def test_step_lengths_match_each_block():
     # at the Newton steps of random iterates, both step lengths of every
-    # block agree with the generalized eigenvalue reference
+    # block agree with the generalized eigenvalue reference, and the
+    # packed step over all blocks is their minimum
     rng = default_rng(17)
     for prog in kernel_programs():
-        rp_list, rd, states = random_iterates(rng, prog)
-        svecs = np.vstack([st.svecs for st in states])
-        schur = svecs.T @ svecs
-        rc_hats = [random_sym(rng, blk.size) for blk in prog.blocks]
-        _, ds_hats, dz_hats = sdp._direction(
-            states, svecs, schur, sdp._robust_cholesky(schur), rd, rc_hats
-        )
-        for st, ds, dz in zip(states, ds_hats, dz_hats):
-            rtol = 1e-14 * st.lam.max() / st.lam.min()
-            steps = sdp._max_steps([st.unit], [ds], [dz])
-            for d, step in zip((ds, dz), steps):
-                ref = reference_step(st.lam, d)
+        lay, _, rd, sc = random_iterates(rng, prog)
+        _, ds, dz = random_direction(rng, lay, rd, sc)
+        refs = []
+        for rows, sub in block_slices(lay):
+            lam = sc.lam[sub]
+            rtol = 1e-14 * lam.max() / lam.min()
+            steps = sdp._max_steps(layout([lam.size]), sc.unit[rows], ds[rows], dz[rows])
+            refs.append([reference_step(lam, smat(d[rows])) for d in (ds, dz)])
+            for ref, step in zip(refs[-1], steps):
                 if np.isinf(ref):
                     assert np.isinf(step)
                 else:
                     assert abs(step - ref) <= rtol * ref, (prog.block_sizes, step, ref)
+        rtol = 1e-14 * sc.lam.max() / sc.lam.min()
+        for ref, step in zip(np.min(refs, axis=0), sdp._max_steps(lay, sc.unit, ds, dz)):
+            assert step == ref if np.isinf(ref) else abs(step - ref) <= rtol * ref
 
 
 def test_direction_solves_scaled_newton_system():
@@ -327,54 +389,65 @@ def test_direction_solves_scaled_newton_system():
     rng = default_rng(15)
     for seed in range(10):
         prog = random_cone_program(seed)
-        rp_list, rd, states = random_iterates(rng, prog)
-        svecs = np.vstack([st.svecs for st in states])
-        schur = svecs.T @ svecs
-        rc_hats = [random_sym(rng, blk.size) for blk in prog.blocks]
-        dy, ds_hats, dz_hats = sdp._direction(
-            states, svecs, schur, sdp._robust_cholesky(schur), rd, rc_hats
-        )
-        terms = [svec(dz) @ st.svecs for st, dz in zip(states, dz_hats)]
+        lay, rp, rd, sc = random_iterates(rng, prog)
+        dy, ds, dz = random_direction(rng, lay, rd, sc)
+        terms = [dz[rows] @ sc.svecs[rows] for rows, _ in block_slices(lay)]
         scale = np.linalg.norm(rd) + sum(np.linalg.norm(t) for t in terms)
         assert np.linalg.norm(sum(terms) - rd) <= rtol * scale, seed
-        for blk, st, rp, ds_hat in zip(prog.blocks, states, rp_list, ds_hats):
-            ds = np.einsum("i,ijk->jk", dy, blk.coeffs) + rp
-            ref = st.ginv @ ds @ st.ginv.T
-            size = np.linalg.norm(rp) + np.abs(dy) @ np.linalg.norm(blk.coeffs, axis=(1, 2))
-            scale = np.linalg.norm(st.ginv, 2) ** 2 * size
-            assert np.linalg.norm(ds_hat - ref) <= rtol * scale, seed
+        for blk, rp_k, (rows, sub) in zip(prog.blocks, lay.blocks(rp), block_slices(lay)):
+            ginv = sc.ginv[sub, sub]
+            ref = ginv @ (np.einsum("i,ijk->jk", dy, blk.coeffs) + rp_k) @ ginv.T
+            size = np.linalg.norm(rp_k) + np.abs(dy) @ np.linalg.norm(blk.coeffs, axis=(1, 2))
+            scale = np.linalg.norm(ginv, 2) ** 2 * size
+            assert np.linalg.norm(smat(ds[rows]) - ref) <= rtol * scale, seed
 
 
 def test_scaling_rejects_non_pd_dual():
     # a Z that is not positive definite fails the NT scaling, so the
     # solve takes the step-failure path instead of stepping on
-    blk = random_cone_program(0).blocks[0]
-    size = blk.size
+    prog = random_cone_program(0)
+    lay = sdp._Layout(ConeProgram(c=prog.c, blocks=prog.blocks[:1]))
+    size = lay.n
     indefinite = np.eye(size)
     indefinite[0, 0] = -1e-3
     for z in (indefinite, np.zeros((size, size))):
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._BlockState(blk, np.eye(size), z, np.zeros((size, size)))
+            sdp._Scaling(lay, np.eye(size).ravel(), z.ravel(), np.zeros(size * size))
 
 
 def test_contractions_match_reference_forms():
-    # the reshaped matrix products sum in another order than the einsum
-    # and tensordot forms they replace; agreement is to rounding
+    # the packed products F(y) = f0 + y A and A z sum in another order than
+    # the einsum and tensordot forms they replace; agreement is to rounding
     rtol = 1e-12
     rng = default_rng(14)
     for seed in range(10):
         prog = random_cone_program(seed)
+        lay = sdp._Layout(prog)
         y = rng.standard_normal(prog.num_vars)
         zs = [random_sym(rng, blk.size) for blk in prog.blocks]
-        for blk in prog.blocks:
+        for blk, fy in zip(prog.blocks, lay.blocks(lay.f0 + y @ lay.a)):
             ref = blk.f0 + np.einsum("i,ijk->jk", y, blk.coeffs)
             assert np.linalg.norm(blk.value(y) - ref) <= rtol * np.linalg.norm(ref)
+            assert np.linalg.norm(fy - ref) <= rtol * np.linalg.norm(ref)
         ref = sum(
             np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
             for blk, z in zip(prog.blocks, zs)
         )
-        adj = sum(blk.adjoint(z) for blk, z in zip(prog.blocks, zs))
+        adj = lay.a @ np.concatenate([z.ravel() for z in zs])
         assert np.linalg.norm(adj - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_block_order_does_not_move_optimum():
+    # the packed iterate lays the blocks out in program order; reversing
+    # or rotating that order leaves the optimum to within the final gap
+    for seed in range(10):
+        prog = random_cone_program(seed)
+        base = solve(prog)
+        for blocks in (prog.blocks[::-1], prog.blocks[1:] + prog.blocks[:1]):
+            res = solve(ConeProgram(c=prog.c, blocks=blocks))
+            assert res.status == OPTIMAL, (seed, res.status)
+            bound = max(1e-9, base.gap, res.gap)
+            assert abs(res.pobj - base.pobj) <= bound, (seed, res.pobj - base.pobj, bound)
 
 
 def test_coefficient_view_shares_memory():
@@ -385,9 +458,11 @@ def test_coefficient_view_shares_memory():
 
 
 def test_iteration_totals_within_budget(monkeypatch):
-    # interior-point iterations summed over the criterion-4 sweep (3749) and
-    # the 100 (5, 2) samples of ecdf stream 0 (991), the same at one and two
-    # BLAS threads, with 5% headroom: a change that costs iterations fails
+    # interior-point iterations summed over the criterion-4 sweep (3748),
+    # the 100 (5, 2) samples of ecdf stream 0 (993) and the 12 (6, 3)
+    # certify-rank3 pairs of seed 0 (154), the same at one and two BLAS
+    # threads, with 5% headroom over the totals before the packed iterate
+    # (3749, 991, 155): a change that costs iterations fails
     counts = []
 
     def count(prog, y0=None):
@@ -401,3 +476,8 @@ def test_iteration_totals_within_budget(monkeypatch):
     counts.clear()
     cli.sample_ecdf(cli.EcdfConfig(n=5, r=2, num_samples=100, seed=0))
     assert len(counts) == 100 and sum(counts) <= 1040, sum(counts)
+    counts.clear()
+    for index in range(12):
+        rng = default_rng((0, index))
+        lmi.delta_exact(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
+    assert len(counts) == 12 and sum(counts) <= 163, sum(counts)
