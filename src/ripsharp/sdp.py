@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -110,33 +111,49 @@ class SolveResult:
     dinf: float
 
 
+@lru_cache(maxsize=64)
+def _shape_tables(sizes: tuple[int, ...]) -> tuple:
+    """The :class:`_Layout` tables that depend only on the block sizes, read-only."""
+    n = sum(sizes)
+    offsets = np.cumsum((0,) + sizes[:-1])
+    starts = np.cumsum((0,) + tuple(k * k for k in sizes[:-1]))
+    parts, gathers, end = [], [], 0
+    for off, start, k in zip(offsets, starts, sizes):
+        rows, cols = np.divmod(np.arange(k * k), k)
+        sv_rows, sv_cols, weights = svec_indices(k)
+        parts.append(((off + rows) * n + off + cols, start + cols * k + rows,
+                      off + sv_rows, off + sv_cols, weights))
+        gathers.append((slice(end, end + weights.size), sv_cols * k + sv_rows))
+        end += weights.size
+    bd, tperm, i, j, w = map(np.concatenate, zip(*parts))
+    arrays = (offsets, starts, bd, tperm, i, j, w, (i == j).astype(float), i * n + j, j * n + i)
+    for a in arrays + tuple(lower for _, lower in gathers):
+        a.flags.writeable = False
+    return (n,) + arrays + (tuple(gathers),)
+
+
 class _Layout:
     """Tables that lay every block of a program side by side; n = sum of sizes.
 
     A packed matrix holds the blocks' row-major entries in turn, from
     ``starts``; ``tperm`` transposes it and ``bd`` places it in the n x n
-    block-diagonal matrix.  A packed svec holds the blocks' svecs in turn:
-    entry e, of weight w[e], sits at row i[e] >= column j[e] of that matrix
-    (flat position ``lower``, mirror ``upper``) and pairs eigenvalues i[e]
-    and j[e]; ``eye`` = svec(I).  Row i of ``a`` is the blocks' vec F_i.
+    block-diagonal matrix, whose block k starts at ``offsets[k]``.  A packed
+    svec holds the blocks' svecs in turn: entry e, of weight w[e], sits at
+    row i[e] >= column j[e] of that matrix (flat position ``lower``, mirror
+    ``upper``) and pairs eigenvalues i[e] and j[e]; ``eye`` = svec(I).  Per
+    block, ``gathers`` holds its svec rows and the flat positions of the
+    lower triangle of a column-major k x k matrix.  Only ``a`` (row i is the
+    blocks' vec F_i), ``f0`` and ``wides`` belong to the program; the other
+    tables are shared by every program with the same block sizes.
     """
 
     def __init__(self, prog: ConeProgram):
-        self.sizes = sizes = prog.block_sizes
-        self.n = n = sum(sizes)
+        self.sizes = prog.block_sizes
+        (self.n, self.offsets, self.starts, self.bd, self.tperm, self.i, self.j, self.w,
+         self.eye, self.lower, self.upper, self.gathers) = _shape_tables(self.sizes)
         self.wides = [blk.wide for blk in prog.blocks]
         self.a = np.hstack([blk.coeffs.reshape(prog.num_vars, -1) for blk in prog.blocks])
         self.f0 = np.concatenate([blk.f0.ravel() for blk in prog.blocks])
-        self.starts = np.cumsum((0,) + tuple(k * k for k in sizes[:-1]))
-        parts = []
-        for off, start, k in zip(np.cumsum((0,) + sizes[:-1]), self.starts, sizes):
-            rows, cols = np.divmod(np.arange(k * k), k)
-            sv_rows, sv_cols, weights = svec_indices(k)
-            parts.append(((off + rows) * n + off + cols, start + cols * k + rows,
-                          off + sv_rows, off + sv_cols, weights))
-        self.bd, self.tperm, self.i, self.j, self.w = map(np.concatenate, zip(*parts))
-        self.eye = (self.i == self.j).astype(float)
-        self.lower, self.upper = self.i * n + self.j, self.j * n + self.i
 
     def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
         return [packed[s : s + k * k].reshape(k, k) for s, k in zip(self.starts, self.sizes)]
@@ -164,37 +181,42 @@ class _Layout:
 class _Scaling:
     """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
 
-    Factored block by block, then packed: ``ginv`` is the block-diagonal
-    G^-1, column i of ``svecs`` the packed svec(sym(G^-1 F_i G^-T)),
-    ``rp_hat`` the svec of G^-1 rp G^-T's lower triangle (unsymmetrized),
-    ``d`` = svec(D), D = diag(lam).  Per svec entry (i, j), X = lyap * R
-    with ``lyap`` = 2 / (lam_i + lam_j) solves (X D + D X)/2 = R, and
-    ``unit`` = (lam_i lam_j)^-1/2 maps a step to D^-1/2 step D^-1/2.
+    Factored block by block into packed arrays: ``ginv`` is the
+    block-diagonal G^-1, column i of ``svecs`` the packed svec of the lower
+    triangle of G^-1 F_i G^-T and ``rp_hat`` that of G^-1 rp G^-T (neither
+    symmetrized), ``d`` = svec(D), D = diag(lam).  Per svec entry (i, j),
+    X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j) solves (X D + D X)/2 = R,
+    and ``unit`` = (lam_i lam_j)^-1/2 maps a step to D^-1/2 step D^-1/2.
     """
 
     __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit", "d")
 
     def __init__(self, lay: _Layout, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
-        parts = []
-        for wide, s_k, z_k in zip(lay.wides, lay.blocks(s), lay.blocks(z)):
+        self.lam = np.empty(lay.n)
+        self.ginv = np.zeros((lay.n, lay.n))
+        self.svecs = np.empty((lay.w.size, lay.a.shape[0]))
+        blocks = zip(lay.wides, lay.blocks(s), lay.blocks(z), lay.offsets, lay.gathers)
+        for wide, s_k, z_k, off, (rows, lower) in blocks:
             ls, info = lapack.dpotrf(s_k, lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError("S is not positive definite")
             # NT scaling point W = G G^T with G = L_S Q diag(evals)^-1/4, so that
             # G^-T = L_S^-T Q diag(evals)^1/4 takes one triangular solve.
-            evals, q, info = lapack.dsyevd(sym(ls.T @ z_k @ ls))
+            # LAPACK reads only the lower triangle of L_S^T Z L_S.
+            evals, q, info = lapack.dsyevd(ls.T @ z_k @ ls, lower=1)
             if info != 0 or evals[0] <= 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
+            k = evals.size
             ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
             # All p congruences in two products: G^-1 [F_1 ... F_p] as rows
             # (a, i), then G^-1 times its transpose gives t[c, a, i] =
             # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
-            k, (rows, cols, weights) = evals.size, svec_indices(evals.size)
+            # Gathered while t is still in cache.
             t = (ginv @ (ginv @ wide).reshape(-1, k).T).reshape(k * k, -1)
-            svecs = (t[cols * k + rows] + t[rows * k + cols]) * (0.5 * weights)[:, None]
-            parts.append((np.sqrt(evals), ginv.ravel(), svecs))
-        self.lam, ginv, self.svecs = map(np.concatenate, zip(*parts))
-        self.ginv = lay.full(ginv)
+            np.take(t, lower, axis=0, out=self.svecs[rows], mode="clip")
+            self.lam[off : off + k] = np.sqrt(evals)
+            self.ginv[off : off + k, off : off + k] = ginv
+        self.svecs *= lay.w[:, None]
         self.rp_hat = np.take(self.ginv @ lay.full(rp) @ self.ginv.T, lay.lower) * lay.w
         lam_i, lam_j = self.lam[lay.i], self.lam[lay.j]
         self.lyap, self.unit = 2.0 / (lam_i + lam_j), 1.0 / np.sqrt(lam_i * lam_j)
@@ -281,7 +303,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         _, ds_aff, dz_aff = _direction(*newton, -(sc.d**2))
         ap_aff, ad_aff = (min(1.0, t) for t in _max_steps(lay, sc.unit, ds_aff, dz_aff))
         gap_aff = float((sc.d + ap_aff * ds_aff) @ (sc.d + ad_aff * dz_aff))
-        sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-10, 1.0))
+        sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 2, 1e-10, 1.0))
 
         # Corrector: recenter and cancel the second-order term.
         cross = lay.svec(lay.smat(ds_aff) @ lay.smat(dz_aff))
@@ -292,9 +314,11 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         s = lay.sym(s + ap * (dy @ lay.a + rp))
         z = lay.sym(z + ad * np.take(sc.ginv.T @ lay.smat(dz) @ sc.ginv, lay.bd))
 
-    if status != OPTIMAL and floor is not None:
-        (y, s, z), status = floor, OPTIMAL
-    _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog.c, y, s, z, f_scale, c_scale)
+    # An optimal break leaves y, s and z where the residuals above were taken.
+    if status != OPTIMAL:
+        if floor is not None:
+            (y, s, z), status = floor, OPTIMAL
+        _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog.c, y, s, z, f_scale, c_scale)
     return SolveResult(
         y=y,
         duals=[z_k.copy() for z_k in lay.blocks(z)],
@@ -339,12 +363,14 @@ def _max_steps(lay, unit, ds, dz) -> tuple[float, float]:
 def _robust_cholesky(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of m, retried with growing diagonal jitter if needed."""
     chol, info = lapack.dpotrf(m, lower=1)
+    if info == 0:
+        return chol
     jitter = 1e-14 * max(float(np.trace(m)) / max(m.shape[0], 1), 1.0)
+    shifted, diag = m.copy(), np.diag(m)
     for _ in range(3):
+        np.fill_diagonal(shifted, diag + jitter)
+        chol, info = lapack.dpotrf(shifted, lower=1)
         if info == 0:
-            break
-        chol, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
+            return chol
         jitter *= 10.0
-    if info != 0:
-        raise np.linalg.LinAlgError("Schur complement not positive definite")
-    return chol
+    raise np.linalg.LinAlgError("Schur complement not positive definite")
