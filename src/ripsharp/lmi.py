@@ -56,7 +56,7 @@ from .objective import MeasurementOperator, curvature_form, jacobian_mat
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
 from .sdp import OPTIMAL as STATUS_OPTIMAL
 from .sdp import STEP_FAILURE as STATUS_STEP_FAILURE
-from .sdp import ConeBlock, ConeProgram
+from .sdp import ConeProgram
 from .sdp import solve as _solve_cone
 
 STATUS_NOT_BELOW_ONE = "infeasible-at-delta-below-one"
@@ -238,22 +238,19 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     face = _face(x)
     curvature = face.T @ curvature @ face
     zero_q = np.zeros((face.shape[1],) * 2)
+    # (role, F0, stack of the delta coefficient and the w coefficients)
     blocks = [
-        ("curvature", zero_q, zero_q, curvature),
-        ("gram-lower", -eye, eye, stack),
-        ("gram-upper", eye, eye, -stack),
+        ("curvature", zero_q, np.concatenate([zero_q[None], curvature])),
+        ("gram-lower", -eye, np.concatenate([eye[None], stack])),
+        ("gram-upper", eye, np.concatenate([eye[None], -stack])),
     ]
     if np.abs(curvature).max(initial=0.0) <= 1e-12:
         del blocks[0]
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0
-    cone_blocks = [
-        ConeBlock(f0=base, coeffs=np.concatenate([delta_coeff[None], h_coeffs]))
-        for _, base, delta_coeff, h_coeffs in blocks
-    ]
     return LmiProblem(
         dim_h=dim_h,
-        cone=ConeProgram(c=c, blocks=cone_blocks),
+        cone=ConeProgram(c=c, blocks=[(f0, coeffs) for _, f0, coeffs in blocks]),
         basis=basis,
         roles=[name for name, *_ in blocks],
         jac=jac,

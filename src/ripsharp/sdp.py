@@ -10,7 +10,7 @@ the corrector are taken in the NT-scaled frame, where S and Z are one
 diagonal matrix; only the accepted step is unscaled.  All blocks are dense;
 the Schur complement is assembled explicitly and factored by Cholesky,
 which is the right trade for the small matrices this package produces.
-Each iteration runs on one packed iterate spanning every block (:class:`_Layout`).
+Programs and iterates are stored packed, all blocks side by side (:class:`_Layout`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import SolverError
 from .linalg import svec_indices, sym
 
 OPTIMAL = "optimal"
@@ -44,56 +43,39 @@ ITERATION_LIMIT = 200
 STEP_SHRINK = 0.98
 
 
-class ConeBlock:
-    """One PSD constraint F0 + sum_i y_i F_i >= 0, with symmetrized F_i.
+class ConeProgram:
+    """Block LMI F0^k + sum_i y_i F_i^k >= 0 with linear objective c^T y, stored packed.
 
-    The p coefficients of side k are stored once, side by side in the
-    (k, p*k) array ``wide = [F_1 ... F_p]``, so that a product with G on the
-    left acts on all of them at once; ``coeffs`` is a (p, k, k) view of it.
+    Built from ``(F0, coeffs)`` pairs, one per block, ``coeffs`` the
+    (p, k, k) stack F_1 ... F_p; both are symmetrized.  Row i of ``a``
+    (p x sum k^2) holds the blocks' row-major F_i side by side, and ``f0``
+    their F0 in the same order.
     """
 
-    __slots__ = ("f0", "wide")
+    __slots__ = ("c", "a", "f0", "block_sizes")
 
-    def __init__(self, f0: np.ndarray, coeffs: np.ndarray):
-        self.f0 = sym(np.asarray(f0, dtype=float))
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 3 or coeffs.shape[1:] != self.f0.shape:
-            raise ValueError("coefficients must be a stack of matrices shaped like F0")
-        coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-        self.wide = coeffs.transpose(1, 0, 2).reshape(self.size, -1)
-
-    @property
-    def size(self) -> int:
-        return self.f0.shape[0]
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.wide.reshape(self.size, -1, self.size).transpose(1, 0, 2)
-
-    def value(self, y: np.ndarray) -> np.ndarray:
-        return self.f0 + y @ self.wide.reshape(self.size, -1, self.size)
-
-
-@dataclass
-class ConeProgram:
-    """Block LMI with linear objective over the free variables y."""
-
-    c: np.ndarray
-    blocks: list[ConeBlock]
-
-    def __post_init__(self) -> None:
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
-        for blk in self.blocks:
-            if blk.coeffs.shape[0] != self.num_vars:
-                raise ValueError("block coefficient count != variable count")
+    def __init__(self, c: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]):
+        self.c = np.asarray(c, dtype=float).reshape(-1)
+        p = self.c.shape[0]
+        f0s, stacks = [], []
+        for f0, coeffs in blocks:
+            f0, coeffs = np.asarray(f0, dtype=float), np.asarray(coeffs, dtype=float)
+            if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
+                raise ValueError(f"F0 must be a square matrix, got shape {f0.shape}")
+            if coeffs.shape != (p,) + f0.shape:
+                raise ValueError(f"coefficients must be a {(p,) + f0.shape} stack, one "
+                                 f"F_i shaped like F0 per variable; got shape {coeffs.shape}")
+            f0s.append(sym(f0))
+            stacks.append((0.5 * (coeffs + coeffs.transpose(0, 2, 1))).reshape(p, -1))
+        if not f0s:
+            raise ValueError("program has no blocks")
+        self.block_sizes = tuple(f0.shape[0] for f0 in f0s)
+        self.f0 = np.concatenate([f0.ravel() for f0 in f0s])
+        self.a = np.hstack(stacks)
 
     @property
     def num_vars(self) -> int:
         return self.c.shape[0]
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(blk.size for blk in self.blocks)
 
 
 @dataclass
@@ -111,29 +93,8 @@ class SolveResult:
     dinf: float
 
 
-@lru_cache(maxsize=64)
-def _shape_tables(sizes: tuple[int, ...]) -> tuple:
-    """The :class:`_Layout` tables that depend only on the block sizes, read-only."""
-    n = sum(sizes)
-    offsets = np.cumsum((0,) + sizes[:-1])
-    starts = np.cumsum((0,) + tuple(k * k for k in sizes[:-1]))
-    parts, gathers, end = [], [], 0
-    for off, start, k in zip(offsets, starts, sizes):
-        rows, cols = np.divmod(np.arange(k * k), k)
-        sv_rows, sv_cols, weights = svec_indices(k)
-        parts.append(((off + rows) * n + off + cols, start + cols * k + rows,
-                      off + sv_rows, off + sv_cols, weights))
-        gathers.append((slice(end, end + weights.size), sv_cols * k + sv_rows))
-        end += weights.size
-    bd, tperm, i, j, w = map(np.concatenate, zip(*parts))
-    arrays = (offsets, starts, bd, tperm, i, j, w, (i == j).astype(float), i * n + j, j * n + i)
-    for a in arrays + tuple(lower for _, lower in gathers):
-        a.flags.writeable = False
-    return (n,) + arrays + (tuple(gathers),)
-
-
 class _Layout:
-    """Tables that lay every block of a program side by side; n = sum of sizes.
+    """Tables that lay blocks of these sizes side by side; n = sum of sizes.
 
     A packed matrix holds the blocks' row-major entries in turn, from
     ``starts``; ``tperm`` transposes it and ``bd`` places it in the n x n
@@ -142,21 +103,40 @@ class _Layout:
     row i[e] >= column j[e] of that matrix (flat position ``lower``, mirror
     ``upper``) and pairs eigenvalues i[e] and j[e]; ``eye`` = svec(I).  Per
     block, ``gathers`` holds its svec rows and the flat positions of the
-    lower triangle of a column-major k x k matrix.  Only ``a`` (row i is the
-    blocks' vec F_i), ``f0`` and ``wides`` belong to the program; the other
-    tables are shared by every program with the same block sizes.
+    lower triangle of a column-major k x k matrix.  The tables depend only
+    on the block sizes: :func:`_layout` builds them once per shape, and
+    every array is read-only.
     """
 
-    def __init__(self, prog: ConeProgram):
-        self.sizes = prog.block_sizes
-        (self.n, self.offsets, self.starts, self.bd, self.tperm, self.i, self.j, self.w,
-         self.eye, self.lower, self.upper, self.gathers) = _shape_tables(self.sizes)
-        self.wides = [blk.wide for blk in prog.blocks]
-        self.a = np.hstack([blk.coeffs.reshape(prog.num_vars, -1) for blk in prog.blocks])
-        self.f0 = np.concatenate([blk.f0.ravel() for blk in prog.blocks])
+    def __init__(self, sizes: tuple[int, ...]):
+        self.sizes = sizes
+        self.n = n = sum(sizes)
+        self.offsets = np.cumsum((0,) + sizes[:-1])
+        self.starts = np.cumsum((0,) + tuple(k * k for k in sizes[:-1]))
+        parts, gathers, end = [], [], 0
+        for off, start, k in zip(self.offsets, self.starts, sizes):
+            rows, cols = np.divmod(np.arange(k * k), k)
+            sv_rows, sv_cols, weights = svec_indices(k)
+            parts.append(((off + rows) * n + off + cols, start + cols * k + rows,
+                          off + sv_rows, off + sv_cols, weights))
+            gathers.append((slice(end, end + weights.size), sv_cols * k + sv_rows))
+            end += weights.size
+        self.bd, self.tperm, self.i, self.j, self.w = map(np.concatenate, zip(*parts))
+        self.eye = (self.i == self.j).astype(float)
+        self.lower, self.upper = self.i * n + self.j, self.j * n + self.i
+        self.gathers = tuple(gathers)
+        for table in (self.offsets, self.starts, self.bd, self.tperm, self.i, self.j, self.w,
+                      self.eye, self.lower, self.upper, *(lower for _, lower in gathers)):
+            table.flags.writeable = False
 
     def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
-        return [packed[s : s + k * k].reshape(k, k) for s, k in zip(self.starts, self.sizes)]
+        """Per block, a (..., k, k) view of the last axis of a packed array."""
+        return [packed[..., s : s + k * k].reshape(packed.shape[:-1] + (k, k))
+                for s, k in zip(self.starts, self.sizes)]
+
+    def wides(self, a: np.ndarray) -> list[np.ndarray]:
+        """Per block, its p coefficients side by side: the (k, p*k) array [F_1 ... F_p]."""
+        return [f.transpose(1, 0, 2).reshape(k, -1) for f, k in zip(self.blocks(a), self.sizes)]
 
     def sym(self, packed: np.ndarray) -> np.ndarray:
         return 0.5 * (packed + packed[self.tperm])
@@ -178,6 +158,9 @@ class _Layout:
         return (np.take(m, self.lower) + np.take(m, self.upper)) * (0.5 * self.w)
 
 
+_layout = lru_cache(maxsize=64)(_Layout)
+
+
 class _Scaling:
     """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
 
@@ -191,11 +174,12 @@ class _Scaling:
 
     __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit", "d")
 
-    def __init__(self, lay: _Layout, s: np.ndarray, z: np.ndarray, rp: np.ndarray):
+    def __init__(self, lay: _Layout, wides: list[np.ndarray], s: np.ndarray, z: np.ndarray,
+                 rp: np.ndarray):
         self.lam = np.empty(lay.n)
         self.ginv = np.zeros((lay.n, lay.n))
-        self.svecs = np.empty((lay.w.size, lay.a.shape[0]))
-        blocks = zip(lay.wides, lay.blocks(s), lay.blocks(z), lay.offsets, lay.gathers)
+        self.svecs = np.empty((lay.w.size, wides[0].shape[1] // lay.sizes[0]))
+        blocks = zip(wides, lay.blocks(s), lay.blocks(z), lay.offsets, lay.gathers)
         for wide, s_k, z_k, off, (rows, lower) in blocks:
             ls, info = lapack.dpotrf(s_k, lower=1)
             if info != 0:
@@ -223,10 +207,10 @@ class _Scaling:
         self.d = lay.eye * lam_i
 
 
-def _residuals(lay, c, y, s, z, f_scale, c_scale):
+def _residuals(lay, prog, y, s, z, f_scale, c_scale):
     """Residuals rp and rd, gap, scaled infeasibilities and objectives."""
-    rp = lay.sym(lay.f0 + y @ lay.a) - s
-    rd = c - lay.a @ z
+    rp = lay.sym(prog.f0 + y @ prog.a) - s
+    rd = prog.c - prog.a @ z
     # Residuals are scaled by the iterate norms, largest over the blocks:
     # near-degenerate optima have unbounded multipliers, and the absolute
     # residual then floors at the rounding level of the matching products.
@@ -234,7 +218,7 @@ def _residuals(lay, c, y, s, z, f_scale, c_scale):
     z_scale = math.sqrt(np.add.reduceat(z * z, lay.starts).max())
     pinf = math.sqrt(np.add.reduceat(rp * rp, lay.starts).max()) / (f_scale + s_scale)
     dinf = float(np.abs(rd).max()) / (c_scale + z_scale)
-    return rp, rd, float(s @ z), pinf, dinf, float(c @ y), -float(lay.f0 @ z)
+    return rp, rd, float(s @ z), pinf, dinf, float(prog.c @ y), -float(prog.f0 @ z)
 
 
 def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
@@ -258,11 +242,10 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (p,):
         raise ValueError("y0 has wrong length")
-    if not prog.blocks:
-        raise SolverError("program has no blocks")
 
-    lay = _Layout(prog)
-    s = lay.sym(lay.f0 + y @ lay.a)
+    lay = _layout(prog.block_sizes)
+    wides = lay.wides(prog.a)
+    s = lay.sym(prog.f0 + y @ prog.a)
     for s_k in lay.blocks(s):
         evals = np.linalg.eigvalsh(s_k)
         scale = max(1.0, float(np.abs(evals).max()))
@@ -272,13 +255,13 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     z = zeta * np.eye(lay.n).ravel()[lay.bd]
 
     c_scale = 1.0 + float(np.abs(prog.c).max(initial=0.0))
-    f_scale = 1.0 + max(float(np.linalg.norm(b.f0)) for b in prog.blocks)
+    f_scale = 1.0 + max(float(np.linalg.norm(f0)) for f0 in lay.blocks(prog.f0))
     status = MAX_ITERATIONS
     it = 0
     floor, floor_dinf = None, STALL_DINF_TOL
 
     for it in range(1, ITERATION_LIMIT + 1):
-        rp, rd, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog.c, y, s, z, f_scale, c_scale)
+        rp, rd, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog, y, s, z, f_scale, c_scale)
         mu = gap / lay.n
         gap_scale = max(1.0, abs(pobj), abs(dobj))
         if gap <= GAP_TOL * gap_scale and pinf <= PRIMAL_FEAS_TOL and dinf <= FEAS_TOL:
@@ -292,7 +275,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             floor, floor_dinf = (y, s, z), dinf
 
         try:
-            sc = _Scaling(lay, s, z, rp)
+            sc = _Scaling(lay, wides, s, z, rp)
             schur = sc.svecs.T @ sc.svecs
             newton = (sc, schur, _robust_cholesky(schur), rd)
         except np.linalg.LinAlgError:
@@ -311,14 +294,14 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(lay, sc.unit, ds, dz))
         # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
         y = y + ap * dy
-        s = lay.sym(s + ap * (dy @ lay.a + rp))
+        s = lay.sym(s + ap * (dy @ prog.a + rp))
         z = lay.sym(z + ad * np.take(sc.ginv.T @ lay.smat(dz) @ sc.ginv, lay.bd))
 
     # An optimal break leaves y, s and z where the residuals above were taken.
     if status != OPTIMAL:
         if floor is not None:
             (y, s, z), status = floor, OPTIMAL
-        _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog.c, y, s, z, f_scale, c_scale)
+        _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog, y, s, z, f_scale, c_scale)
     return SolveResult(
         y=y,
         duals=[z_k.copy() for z_k in lay.blocks(z)],

@@ -134,8 +134,9 @@ def test_boundary_gram_is_feasible():
     e = svec(resid)
     h = np.eye(svec_dim(pair.d)) - np.outer(e, e) / float(e @ e)
     y = np.concatenate([[1.0], prob.basis.T @ svec(h)])
-    for role, blk in zip(prob.roles, prob.cone.blocks):
-        assert np.linalg.eigvalsh(blk.value(y))[0] >= -1e-12, role
+    lay = sdp._layout(prob.cone.block_sizes)
+    for role, value in zip(prob.roles, lay.blocks(prob.cone.f0 + y @ prob.cone.a)):
+        assert np.linalg.eigvalsh(value)[0] >= -1e-12, role
     # stationarity rows vanish as well, for H = Q H' Q^T in vec coordinates
     q = sym_basis(pair.d)
     grad = jacobian_mat(pair.xhat).T @ (q @ h @ q.T @ vec(resid))
@@ -331,9 +332,10 @@ def test_cone_blocks_match_explicit_forms(lower):
     y = np.concatenate([[delta], prob.basis.T @ svec(h)])
     expected = _explicit_blocks(prob, x, z, delta, h)
     assert prob.roles == list(expected)
-    for role, blk in zip(prob.roles, prob.cone.blocks):
+    lay = sdp._layout(prob.cone.block_sizes)
+    for role, value in zip(prob.roles, lay.blocks(prob.cone.f0 + y @ prob.cone.a)):
         want = expected[role]
-        assert np.linalg.norm(blk.value(y) - want) <= 1e-12 * np.linalg.norm(want), role
+        assert np.linalg.norm(value - want) <= 1e-12 * np.linalg.norm(want), role
 
 
 @pytest.mark.parametrize("lower", [False, True])
@@ -392,11 +394,9 @@ def vec_program(pair):
     stack = smat(basis.T, m)
     eye = np.eye(m)
     blocks = [
-        sdp.ConeBlock(
-            np.zeros((q, q)), np.concatenate([np.zeros((1, q, q)), curvature_form(jac, e, stack, r)])
-        ),
-        sdp.ConeBlock(-eye, np.concatenate([eye[None], stack])),
-        sdp.ConeBlock(eye, np.concatenate([eye[None], -stack])),
+        (np.zeros((q, q)), np.concatenate([np.zeros((1, q, q)), curvature_form(jac, e, stack, r)])),
+        (-eye, np.concatenate([eye[None], stack])),
+        (eye, np.concatenate([eye[None], -stack])),
     ]
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0

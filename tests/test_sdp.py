@@ -12,7 +12,7 @@ from numpy.random import default_rng
 import ripsharp
 from ripsharp import cli, lmi, sdp
 from ripsharp.linalg import smat, svec
-from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeBlock, ConeProgram, solve
+from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeProgram, solve
 
 
 def random_cone_program(seed):
@@ -27,16 +27,22 @@ def random_cone_program(seed):
         chol = rng.standard_normal((size, size))
         interior = chol @ chol.T + size * np.eye(size)
         f0 = interior - np.einsum("i,ijk->jk", y0, coeffs)
-        blocks.append(ConeBlock(f0, coeffs))
+        blocks.append((f0, coeffs))
     radius = 10.0
     coeffs = np.zeros((p, 2 * p, 2 * p))
     f0 = radius * np.eye(2 * p)
     for i in range(p):
         coeffs[i, 2 * i, 2 * i] = 1.0
         coeffs[i, 2 * i + 1, 2 * i + 1] = -1.0
-    blocks.append(ConeBlock(f0, coeffs))
+    blocks.append((f0, coeffs))
     c = rng.standard_normal(p)
     return ConeProgram(c=c, blocks=blocks)
+
+
+def parts(prog):
+    # each block's F0 and (p, k, k) coefficient stack, as views of the packed program
+    lay = sdp._layout(prog.block_sizes)
+    return list(zip(lay.blocks(prog.f0), lay.blocks(prog.a)))
 
 
 # optima of random_cone_program(0..9) frozen from an independent solver
@@ -59,8 +65,8 @@ def analytic_program():
     # optimum delta = 0.4 with both bounds active
     target = np.diag([0.6, 1.4])
     eye = np.eye(2)
-    lower = ConeBlock(target - eye, eye[None])
-    upper = ConeBlock(eye - target, eye[None])
+    lower = (target - eye, eye[None])
+    upper = (eye - target, eye[None])
     return ConeProgram(c=np.array([1.0]), blocks=[lower, upper])
 
 
@@ -77,17 +83,17 @@ def test_reference_residuals():
     for seed in range(10):
         prog = random_cone_program(seed)
         res = solve(prog)
-        for blk, z in zip(prog.blocks, res.duals):
-            value = blk.value(res.y)
+        for (f0, coeffs), z in zip(parts(prog), res.duals):
+            value = f0 + np.tensordot(res.y, coeffs, axes=1)
             assert np.linalg.eigvalsh(0.5 * (value + value.T))[0] >= -1e-6, seed
             assert np.linalg.eigvalsh(z)[0] >= -1e-6, seed
         adjoint = sum(
-            np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
-            for blk, z in zip(prog.blocks, res.duals)
+            np.tensordot(coeffs, z, axes=([1, 2], [0, 1]))
+            for (_, coeffs), z in zip(parts(prog), res.duals)
         )
         assert np.abs(prog.c - adjoint).max() <= 1e-6, seed
         pobj = float(prog.c @ res.y)
-        dobj = -sum(float(np.vdot(blk.f0, z)) for blk, z in zip(prog.blocks, res.duals))
+        dobj = -sum(float(np.vdot(f0, z)) for (f0, _), z in zip(parts(prog), res.duals))
         assert abs(pobj - dobj) <= 1e-6, seed
 
 
@@ -110,7 +116,7 @@ def test_analytic_dual_structure():
 
 def test_objective_rescaling():
     prog = random_cone_program(1)
-    scaled = ConeProgram(c=100.0 * prog.c, blocks=prog.blocks)
+    scaled = ConeProgram(c=100.0 * prog.c, blocks=parts(prog))
     base = solve(prog)
     res = solve(scaled)
     assert res.status == OPTIMAL
@@ -123,7 +129,7 @@ def test_constraint_rescaling():
     prog = random_cone_program(2)
     scaled = ConeProgram(
         c=prog.c,
-        blocks=[ConeBlock(100.0 * b.f0, 100.0 * b.coeffs) for b in prog.blocks],
+        blocks=[(100.0 * f0, 100.0 * coeffs) for f0, coeffs in parts(prog)],
     )
     base = solve(prog)
     res = solve(scaled)
@@ -134,16 +140,24 @@ def test_constraint_rescaling():
 def test_block_value_symmetrized():
     coeffs = np.zeros((1, 2, 2))
     coeffs[0, 0, 1] = 2.0
-    blk = ConeBlock(np.eye(2), coeffs)
-    val = blk.value(np.array([1.0]))
+    [(f0, coeffs)] = parts(ConeProgram(c=np.zeros(1), blocks=[(np.eye(2), coeffs)]))
+    val = f0 + np.tensordot(np.array([1.0]), coeffs, axes=1)
     assert np.allclose(val, val.T)
     assert abs(val[0, 1] - 1.0) < 1e-15
 
 
 def test_block_rejects_mismatched_coefficients():
-    for coeffs in (np.zeros((1, 3, 3)), np.zeros((1, 2, 3)), np.zeros((2, 2))):
-        with pytest.raises(ValueError):
-            ConeBlock(np.eye(2), coeffs)
+    for coeffs in (np.zeros((1, 3, 3)), np.zeros((1, 2, 3)), np.zeros((2, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="coefficients must be a"):
+            ConeProgram(c=np.zeros(1), blocks=[(np.eye(2), coeffs)])
+
+
+def test_program_rejects_non_square_f0_and_no_blocks():
+    for f0 in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="F0 must be a square matrix"):
+            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 2, 2)))])
+    with pytest.raises(ValueError, match="program has no blocks"):
+        ConeProgram(c=np.zeros(1), blocks=[])
 
 
 def test_iteration_cap_reported(monkeypatch):
@@ -193,7 +207,8 @@ def test_final_gap_meets_stopping_rule():
     scale = max(1.0, abs(res.pobj), abs(res.dobj))
     assert 0.0 < res.gap <= sdp.GAP_TOL * scale
     complementarity = sum(
-        float(np.vdot(blk.value(res.y), z)) for blk, z in zip(prog.blocks, res.duals)
+        float(np.vdot(f0 + np.tensordot(res.y, coeffs, axes=1), z))
+        for (f0, coeffs), z in zip(parts(prog), res.duals)
     )
     assert abs(complementarity - res.gap) <= 1e-8 * scale
 
@@ -222,8 +237,7 @@ def reference_step(lam, d):
 
 def layout(sizes):
     # the index tables of a program with blocks of these sizes
-    blocks = [ConeBlock(np.eye(k), np.zeros((1, k, k))) for k in sizes]
-    return sdp._Layout(ConeProgram(c=np.zeros(1), blocks=blocks))
+    return sdp._layout(tuple(sizes))
 
 
 def block_slices(lay):
@@ -265,21 +279,16 @@ def test_layout_tables():
 
 
 def test_layout_tables_shared_and_read_only():
-    # programs with the same block sizes share one set of shape tables,
-    # which no solve can write to; the program data stay per program
+    # programs with the same block sizes share one layout, whose tables no
+    # solve can write to; the program data stay per program
     first, second = random_cone_program(0), random_cone_program(0)
-    lays = [sdp._Layout(p) for p in (first, second)]
+    lay = sdp._layout(first.block_sizes)
+    assert lay is sdp._layout(second.block_sizes)
     names = ("offsets", "starts", "bd", "tperm", "i", "j", "w", "eye", "lower", "upper")
-    for name in names:
-        table = getattr(lays[0], name)
-        assert table is getattr(lays[1], name), name
+    for table in [getattr(lay, name) for name in names] + [lower for _, lower in lay.gathers]:
         with pytest.raises(ValueError):
             table[0] = 1
-    for (rows, lower), (rows2, lower2) in zip(*(lay.gathers for lay in lays)):
-        assert rows == rows2 and lower is lower2
-        with pytest.raises(ValueError):
-            lower[0] = 1
-    assert lays[0].a is not lays[1].a and lays[0].f0 is not lays[1].f0
+    assert not np.shares_memory(first.a, second.a) and not np.shares_memory(first.f0, second.f0)
 
 
 def test_max_step_matches_generalized_eigenvalues():
@@ -348,11 +357,11 @@ def test_max_step_with_shared_eigenvalue():
 
 def random_iterates(rng, prog):
     # a random interior iterate of prog with nonzero residuals, and its scaling
-    lay = sdp._Layout(prog)
+    lay = sdp._layout(prog.block_sizes)
     y = rng.standard_normal(prog.num_vars)
     s, z = (np.concatenate([random_pd_matrix(rng, k).ravel() for k in lay.sizes]) for _ in "sz")
-    rp, rd = sdp._residuals(lay, prog.c, y, s, z, 1.0, 1.0)[:2]
-    return lay, rp, rd, sdp._Scaling(lay, s, z, rp)
+    rp, rd = sdp._residuals(lay, prog, y, s, z, 1.0, 1.0)[:2]
+    return lay, rp, rd, sdp._Scaling(lay, lay.wides(prog.a), s, z, rp)
 
 
 def random_direction(rng, lay, rd, sc):
@@ -376,9 +385,9 @@ def test_scaled_rows_match_per_coefficient_loop():
     rng = default_rng(16)
     for prog in kernel_programs():
         lay, _, _, sc = random_iterates(rng, prog)
-        for blk, (rows, sub) in zip(prog.blocks, block_slices(lay)):
+        for (_, coeffs), (rows, sub) in zip(parts(prog), block_slices(lay)):
             ginv = sc.ginv[sub, sub]
-            ref = np.array([svec(ginv @ f @ ginv.T) for f in blk.coeffs]).T
+            ref = np.array([svec(ginv @ f @ ginv.T) for f in coeffs]).T
             err = np.linalg.norm(sc.svecs[rows] - ref)
             assert err <= 1e-13 * np.linalg.norm(ref), (prog.block_sizes, err)
 
@@ -420,10 +429,10 @@ def test_direction_solves_scaled_newton_system():
         terms = [dz[rows] @ sc.svecs[rows] for rows, _ in block_slices(lay)]
         scale = np.linalg.norm(rd) + sum(np.linalg.norm(t) for t in terms)
         assert np.linalg.norm(sum(terms) - rd) <= rtol * scale, seed
-        for blk, rp_k, (rows, sub) in zip(prog.blocks, lay.blocks(rp), block_slices(lay)):
+        for (_, coeffs), rp_k, (rows, sub) in zip(parts(prog), lay.blocks(rp), block_slices(lay)):
             ginv = sc.ginv[sub, sub]
-            ref = ginv @ (np.einsum("i,ijk->jk", dy, blk.coeffs) + rp_k) @ ginv.T
-            size = np.linalg.norm(rp_k) + np.abs(dy) @ np.linalg.norm(blk.coeffs, axis=(1, 2))
+            ref = ginv @ (np.einsum("i,ijk->jk", dy, coeffs) + rp_k) @ ginv.T
+            size = np.linalg.norm(rp_k) + np.abs(dy) @ np.linalg.norm(coeffs, axis=(1, 2))
             scale = np.linalg.norm(ginv, 2) ** 2 * size
             assert np.linalg.norm(smat(ds[rows]) - ref) <= rtol * scale, seed
 
@@ -432,13 +441,15 @@ def test_scaling_rejects_non_pd_dual():
     # a Z that is not positive definite fails the NT scaling, so the
     # solve takes the step-failure path instead of stepping on
     prog = random_cone_program(0)
-    lay = sdp._Layout(ConeProgram(c=prog.c, blocks=prog.blocks[:1]))
+    prog = ConeProgram(c=prog.c, blocks=parts(prog)[:1])
+    lay = sdp._layout(prog.block_sizes)
     size = lay.n
     indefinite = np.eye(size)
     indefinite[0, 0] = -1e-3
     for z in (indefinite, np.zeros((size, size))):
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._Scaling(lay, np.eye(size).ravel(), z.ravel(), np.zeros(size * size))
+            sdp._Scaling(lay, lay.wides(prog.a), np.eye(size).ravel(), z.ravel(),
+                         np.zeros(size * size))
 
 
 def test_contractions_match_reference_forms():
@@ -448,18 +459,17 @@ def test_contractions_match_reference_forms():
     rng = default_rng(14)
     for seed in range(10):
         prog = random_cone_program(seed)
-        lay = sdp._Layout(prog)
+        lay = sdp._layout(prog.block_sizes)
         y = rng.standard_normal(prog.num_vars)
-        zs = [random_sym(rng, blk.size) for blk in prog.blocks]
-        for blk, fy in zip(prog.blocks, lay.blocks(lay.f0 + y @ lay.a)):
-            ref = blk.f0 + np.einsum("i,ijk->jk", y, blk.coeffs)
-            assert np.linalg.norm(blk.value(y) - ref) <= rtol * np.linalg.norm(ref)
+        zs = [random_sym(rng, k) for k in prog.block_sizes]
+        for (f0, coeffs), fy in zip(parts(prog), lay.blocks(prog.f0 + y @ prog.a)):
+            ref = f0 + np.einsum("i,ijk->jk", y, coeffs)
             assert np.linalg.norm(fy - ref) <= rtol * np.linalg.norm(ref)
         ref = sum(
-            np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
-            for blk, z in zip(prog.blocks, zs)
+            np.tensordot(coeffs, z, axes=([1, 2], [0, 1]))
+            for (_, coeffs), z in zip(parts(prog), zs)
         )
-        adj = lay.a @ np.concatenate([z.ravel() for z in zs])
+        adj = prog.a @ np.concatenate([z.ravel() for z in zs])
         assert np.linalg.norm(adj - ref) <= rtol * np.linalg.norm(ref)
 
 
@@ -469,7 +479,8 @@ def test_block_order_does_not_move_optimum():
     for seed in range(10):
         prog = random_cone_program(seed)
         base = solve(prog)
-        for blocks in (prog.blocks[::-1], prog.blocks[1:] + prog.blocks[:1]):
+        pairs = parts(prog)
+        for blocks in (pairs[::-1], pairs[1:] + pairs[:1]):
             res = solve(ConeProgram(c=prog.c, blocks=blocks))
             assert res.status == OPTIMAL, (seed, res.status)
             bound = max(1e-9, base.gap, res.gap)
@@ -477,10 +488,12 @@ def test_block_order_does_not_move_optimum():
 
 
 def test_coefficient_view_shares_memory():
-    # one stored layout: coeffs is a view of the side-by-side coefficients
-    blk = random_cone_program(0).blocks[0]
-    assert np.shares_memory(blk.wide, blk.coeffs)
-    assert blk.wide.shape == (blk.size, blk.coeffs.shape[0] * blk.size)
+    # one stored program: each block's F0 and coefficient stack are views of
+    # the packed f0 and a
+    prog = random_cone_program(0)
+    for k, (f0, coeffs) in zip(prog.block_sizes, parts(prog)):
+        assert np.shares_memory(f0, prog.f0) and np.shares_memory(coeffs, prog.a)
+        assert f0.shape == (k, k) and coeffs.shape == (prog.num_vars, k, k)
 
 
 # Prints the iterations summed over the 12 (6, 3) certify-rank3 pairs of seed 0.
