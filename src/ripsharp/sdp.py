@@ -10,7 +10,8 @@ the corrector are taken in the NT-scaled frame, where S and Z are one
 diagonal matrix; only the accepted step is unscaled.  All blocks are dense;
 the Schur complement is assembled explicitly and factored by Cholesky,
 which is the right trade for the small matrices this package produces.
-Programs and iterates are stored packed, all blocks side by side (:class:`_Layout`).
+Programs, iterates and directions are packed svecs, all blocks side by side
+(:class:`_Layout`), so every symmetric quantity is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import svec_indices, sym
+from .linalg import smat, svec, svec_indices
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"
@@ -47,17 +48,19 @@ class ConeProgram:
     """Block LMI F0^k + sum_i y_i F_i^k >= 0 with linear objective c^T y, stored packed.
 
     Built from ``(F0, coeffs)`` pairs, one per block, ``coeffs`` the
-    (p, k, k) stack F_1 ... F_p; both are symmetrized.  Row i of ``a``
-    (p x sum k^2) holds the blocks' row-major F_i side by side, and ``f0``
-    their F0 in the same order.
+    (p, k, k) stack F_1 ... F_p; both must be finite, and are symmetrized.
+    Row i of ``a`` (p x sum k(k+1)/2) holds the blocks' svec(F_i) side by
+    side, and ``f0`` their svec(F0) in the same order.
     """
 
     __slots__ = ("c", "a", "f0", "block_sizes")
 
     def __init__(self, c: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]):
         self.c = np.asarray(c, dtype=float).reshape(-1)
+        if not np.isfinite(self.c).all():
+            raise ValueError("c must be finite")
         p = self.c.shape[0]
-        f0s, stacks = [], []
+        sizes, packed = [], []
         for f0, coeffs in blocks:
             f0, coeffs = np.asarray(f0, dtype=float), np.asarray(coeffs, dtype=float)
             if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
@@ -65,13 +68,16 @@ class ConeProgram:
             if coeffs.shape != (p,) + f0.shape:
                 raise ValueError(f"coefficients must be a {(p,) + f0.shape} stack, one "
                                  f"F_i shaped like F0 per variable; got shape {coeffs.shape}")
-            f0s.append(sym(f0))
-            stacks.append((0.5 * (coeffs + coeffs.transpose(0, 2, 1))).reshape(p, -1))
-        if not f0s:
+            stack = np.concatenate([f0[None], coeffs])
+            if not np.isfinite(stack).all():
+                raise ValueError("F0 and coefficients must be finite")
+            sizes.append(f0.shape[0])
+            packed.append(svec(0.5 * (stack + stack.transpose(0, 2, 1))))
+        if not packed:
             raise ValueError("program has no blocks")
-        self.block_sizes = tuple(f0.shape[0] for f0 in f0s)
-        self.f0 = np.concatenate([f0.ravel() for f0 in f0s])
-        self.a = np.hstack(stacks)
+        self.block_sizes = tuple(sizes)
+        self.f0 = np.concatenate([v[0] for v in packed])
+        self.a = np.hstack([v[1:] for v in packed])
 
     @property
     def num_vars(self) -> int:
@@ -96,56 +102,42 @@ class SolveResult:
 class _Layout:
     """Tables that lay blocks of these sizes side by side; n = sum of sizes.
 
-    A packed matrix holds the blocks' row-major entries in turn, from
-    ``starts``; ``tperm`` transposes it and ``bd`` places it in the n x n
-    block-diagonal matrix, whose block k starts at ``offsets[k]``.  A packed
-    svec holds the blocks' svecs in turn: entry e, of weight w[e], sits at
-    row i[e] >= column j[e] of that matrix (flat position ``lower``, mirror
-    ``upper``) and pairs eigenvalues i[e] and j[e]; ``eye`` = svec(I).  Per
-    block, ``gathers`` holds its svec rows and the flat positions of the
-    lower triangle of a column-major k x k matrix.  The tables depend only
-    on the block sizes: :func:`_layout` builds them once per shape, and
-    every array is read-only.
+    A packed svec holds the blocks' svecs in turn, block k from
+    ``starts[k]``: entry e, of weight w[e], sits at row i[e] >= column j[e]
+    of the n x n block-diagonal matrix, whose block k starts at
+    ``offsets[k]`` (flat position ``lower``, mirror ``upper``), and pairs
+    eigenvalues i[e] and j[e]; ``eye`` = svec(I).  Per block, ``gathers``
+    holds its svec rows and the flat positions of the lower triangle of a
+    column-major k x k matrix.  The tables depend only on the block sizes:
+    :func:`_layout` builds them once per shape, and every array is read-only.
     """
 
     def __init__(self, sizes: tuple[int, ...]):
         self.sizes = sizes
         self.n = n = sum(sizes)
         self.offsets = np.cumsum((0,) + sizes[:-1])
-        self.starts = np.cumsum((0,) + tuple(k * k for k in sizes[:-1]))
         parts, gathers, end = [], [], 0
-        for off, start, k in zip(self.offsets, self.starts, sizes):
-            rows, cols = np.divmod(np.arange(k * k), k)
+        for off, k in zip(self.offsets, sizes):
             sv_rows, sv_cols, weights = svec_indices(k)
-            parts.append(((off + rows) * n + off + cols, start + cols * k + rows,
-                          off + sv_rows, off + sv_cols, weights))
+            parts.append((off + sv_rows, off + sv_cols, weights))
             gathers.append((slice(end, end + weights.size), sv_cols * k + sv_rows))
             end += weights.size
-        self.bd, self.tperm, self.i, self.j, self.w = map(np.concatenate, zip(*parts))
+        self.starts = np.array([rows.start for rows, _ in gathers])
+        self.i, self.j, self.w = map(np.concatenate, zip(*parts))
         self.eye = (self.i == self.j).astype(float)
         self.lower, self.upper = self.i * n + self.j, self.j * n + self.i
         self.gathers = tuple(gathers)
-        for table in (self.offsets, self.starts, self.bd, self.tperm, self.i, self.j, self.w,
-                      self.eye, self.lower, self.upper, *(lower for _, lower in gathers)):
+        for table in (self.offsets, self.starts, self.i, self.j, self.w, self.eye, self.lower,
+                      self.upper, *(lower for _, lower in gathers)):
             table.flags.writeable = False
 
     def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
-        """Per block, a (..., k, k) view of the last axis of a packed array."""
-        return [packed[..., s : s + k * k].reshape(packed.shape[:-1] + (k, k))
-                for s, k in zip(self.starts, self.sizes)]
+        """Per block, the (..., k, k) matrices of the last axis of a packed svec array."""
+        return [smat(packed[..., rows], k) for (rows, _), k in zip(self.gathers, self.sizes)]
 
     def wides(self, a: np.ndarray) -> list[np.ndarray]:
         """Per block, its p coefficients side by side: the (k, p*k) array [F_1 ... F_p]."""
         return [f.transpose(1, 0, 2).reshape(k, -1) for f, k in zip(self.blocks(a), self.sizes)]
-
-    def sym(self, packed: np.ndarray) -> np.ndarray:
-        return 0.5 * (packed + packed[self.tperm])
-
-    def full(self, packed: np.ndarray) -> np.ndarray:
-        """The n x n block-diagonal matrix of a packed matrix."""
-        out = np.zeros(self.n * self.n)
-        out[self.bd] = packed
-        return out.reshape(self.n, self.n)
 
     def smat(self, v: np.ndarray) -> np.ndarray:
         """The n x n block-diagonal matrix of a packed svec."""
@@ -164,44 +156,48 @@ _layout = lru_cache(maxsize=64)(_Layout)
 class _Scaling:
     """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
 
-    Factored block by block into packed arrays: ``ginv`` is the
-    block-diagonal G^-1, column i of ``svecs`` the packed svec of the lower
-    triangle of G^-1 F_i G^-T and ``rp_hat`` that of G^-1 rp G^-T (neither
-    symmetrized), ``d`` = svec(D), D = diag(lam).  Per svec entry (i, j),
-    X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j) solves (X D + D X)/2 = R,
-    and ``unit`` = (lam_i lam_j)^-1/2 maps a step to D^-1/2 step D^-1/2.
+    Factored block by block from the packed svecs s, z and rp into packed
+    arrays: ``ginv`` is the block-diagonal G^-1, column i of ``svecs`` the
+    packed svec of the lower triangle of G^-1 F_i G^-T and ``rp_hat`` that of
+    G^-1 rp G^-T (neither symmetrized), ``d`` = svec(D), D = diag(lam).  Per
+    svec entry (i, j), X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j)
+    solves (X D + D X)/2 = R, and ``unit`` = (lam_i lam_j)^-1/2 maps a step
+    to D^-1/2 step D^-1/2.  Per block, ``products`` holds two (k, p*k)
+    buffers, kept for the solve, that the congruence products overwrite.
     """
 
     __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit", "d")
 
-    def __init__(self, lay: _Layout, wides: list[np.ndarray], s: np.ndarray, z: np.ndarray,
-                 rp: np.ndarray):
+    def __init__(self, lay: _Layout, wides: list[np.ndarray], products: list[tuple],
+                 s: np.ndarray, z: np.ndarray, rp: np.ndarray):
         self.lam = np.empty(lay.n)
         self.ginv = np.zeros((lay.n, lay.n))
         self.svecs = np.empty((lay.w.size, wides[0].shape[1] // lay.sizes[0]))
-        blocks = zip(wides, lay.blocks(s), lay.blocks(z), lay.offsets, lay.gathers)
-        for wide, s_k, z_k, off, (rows, lower) in blocks:
-            ls, info = lapack.dpotrf(s_k, lower=1)
+        s_full, z_full = lay.smat(s), lay.smat(z)
+        blocks = zip(wides, products, lay.sizes, lay.offsets, lay.gathers)
+        for wide, (u, t), k, off, (rows, lower) in blocks:
+            sub = slice(off, off + k)
+            ls, info = lapack.dpotrf(s_full[sub, sub], lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError("S is not positive definite")
             # NT scaling point W = G G^T with G = L_S Q diag(evals)^-1/4, so that
             # G^-T = L_S^-T Q diag(evals)^1/4 takes one triangular solve.
             # LAPACK reads only the lower triangle of L_S^T Z L_S.
-            evals, q, info = lapack.dsyevd(ls.T @ z_k @ ls, lower=1)
+            evals, q, info = lapack.dsyevd(ls.T @ z_full[sub, sub] @ ls, lower=1)
             if info != 0 or evals[0] <= 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
-            k = evals.size
             ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
             # All p congruences in two products: G^-1 [F_1 ... F_p] as rows
             # (a, i), then G^-1 times its transpose gives t[c, a, i] =
             # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
             # Gathered while t is still in cache.
-            t = (ginv @ (ginv @ wide).reshape(-1, k).T).reshape(k * k, -1)
-            np.take(t, lower, axis=0, out=self.svecs[rows], mode="clip")
-            self.lam[off : off + k] = np.sqrt(evals)
-            self.ginv[off : off + k, off : off + k] = ginv
+            np.matmul(ginv, wide, out=u)
+            np.matmul(ginv, u.reshape(-1, k).T, out=t)
+            np.take(t.reshape(k * k, -1), lower, axis=0, out=self.svecs[rows], mode="clip")
+            self.lam[sub] = np.sqrt(evals)
+            self.ginv[sub, sub] = ginv
         self.svecs *= lay.w[:, None]
-        self.rp_hat = np.take(self.ginv @ lay.full(rp) @ self.ginv.T, lay.lower) * lay.w
+        self.rp_hat = np.take(self.ginv @ lay.smat(rp) @ self.ginv.T, lay.lower) * lay.w
         lam_i, lam_j = self.lam[lay.i], self.lam[lay.j]
         self.lyap, self.unit = 2.0 / (lam_i + lam_j), 1.0 / np.sqrt(lam_i * lam_j)
         self.d = lay.eye * lam_i
@@ -209,11 +205,12 @@ class _Scaling:
 
 def _residuals(lay, prog, y, s, z, f_scale, c_scale):
     """Residuals rp and rd, gap, scaled infeasibilities and objectives."""
-    rp = lay.sym(prog.f0 + y @ prog.a) - s
+    rp = prog.f0 + y @ prog.a - s
     rd = prog.c - prog.a @ z
     # Residuals are scaled by the iterate norms, largest over the blocks:
     # near-degenerate optima have unbounded multipliers, and the absolute
     # residual then floors at the rounding level of the matching products.
+    # svec is an isometry: its 2-norms are Frobenius norms, s @ z is <S, Z>.
     s_scale = math.sqrt(np.add.reduceat(s * s, lay.starts).max())
     z_scale = math.sqrt(np.add.reduceat(z * z, lay.starts).max())
     pinf = math.sqrt(np.add.reduceat(rp * rp, lay.starts).max()) / (f_scale + s_scale)
@@ -240,22 +237,23 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     """
     p = prog.num_vars
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if y.shape != (p,):
-        raise ValueError("y0 has wrong length")
+    if y.shape != (p,) or not np.isfinite(y).all():
+        raise ValueError(f"y0 must be a finite vector of length {p}")
 
     lay = _layout(prog.block_sizes)
     wides = lay.wides(prog.a)
-    s = lay.sym(prog.f0 + y @ prog.a)
-    for s_k in lay.blocks(s):
+    products = [(np.empty_like(wide), np.empty_like(wide)) for wide in wides]
+    s = prog.f0 + y @ prog.a
+    for (rows, _), s_k in zip(lay.gathers, lay.blocks(s)):
         evals = np.linalg.eigvalsh(s_k)
         scale = max(1.0, float(np.abs(evals).max()))
         if evals[0] <= 1e-3 * scale:
-            s_k += (1e-1 * scale - evals[0]) * np.eye(s_k.shape[0])
+            s[rows] += (1e-1 * scale - evals[0]) * lay.eye[rows]
     zeta = max(1.0, float(np.linalg.norm(prog.c))) / np.sqrt(lay.n)
-    z = zeta * np.eye(lay.n).ravel()[lay.bd]
+    z = zeta * lay.eye
 
     c_scale = 1.0 + float(np.abs(prog.c).max(initial=0.0))
-    f_scale = 1.0 + max(float(np.linalg.norm(f0)) for f0 in lay.blocks(prog.f0))
+    f_scale = 1.0 + max(float(np.linalg.norm(prog.f0[rows])) for rows, _ in lay.gathers)
     status = MAX_ITERATIONS
     it = 0
     floor, floor_dinf = None, STALL_DINF_TOL
@@ -275,7 +273,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             floor, floor_dinf = (y, s, z), dinf
 
         try:
-            sc = _Scaling(lay, wides, s, z, rp)
+            sc = _Scaling(lay, wides, products, s, z, rp)
             schur = sc.svecs.T @ sc.svecs
             newton = (sc, schur, _robust_cholesky(schur), rd)
         except np.linalg.LinAlgError:
@@ -293,9 +291,10 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         dy, ds, dz = _direction(*newton, sigma * mu * lay.eye - sc.d**2 - cross)
         ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(lay, sc.unit, ds, dz))
         # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
+        # Out of place: the floor iterate keeps references to y, s and z.
         y = y + ap * dy
-        s = lay.sym(s + ap * (dy @ prog.a + rp))
-        z = lay.sym(z + ad * np.take(sc.ginv.T @ lay.smat(dz) @ sc.ginv, lay.bd))
+        s = s + ap * (dy @ prog.a + rp)
+        z = z + ad * lay.svec(sc.ginv.T @ lay.smat(dz) @ sc.ginv)
 
     # An optimal break leaves y, s and z where the residuals above were taken.
     if status != OPTIMAL:
@@ -304,7 +303,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog, y, s, z, f_scale, c_scale)
     return SolveResult(
         y=y,
-        duals=[z_k.copy() for z_k in lay.blocks(z)],
+        duals=lay.blocks(z),
         gap=gap,
         status=status,
         pobj=pobj,

@@ -40,7 +40,7 @@ def random_cone_program(seed):
 
 
 def parts(prog):
-    # each block's F0 and (p, k, k) coefficient stack, as views of the packed program
+    # each block's F0 and (p, k, k) coefficient stack, unpacked from the program's svecs
     lay = sdp._layout(prog.block_sizes)
     return list(zip(lay.blocks(prog.f0), lay.blocks(prog.a)))
 
@@ -158,6 +158,19 @@ def test_program_rejects_non_square_f0_and_no_blocks():
             ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 2, 2)))])
     with pytest.raises(ValueError, match="program has no blocks"):
         ConeProgram(c=np.zeros(1), blocks=[])
+    # a non-finite objective, F0 entry or coefficient, or start point
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="c must be finite"):
+            ConeProgram(c=np.array([bad]), blocks=[(np.eye(2), np.zeros((1, 2, 2)))])
+        f0, coeffs = np.eye(2), np.zeros((1, 2, 2))
+        f0[0, 1] = bad
+        with pytest.raises(ValueError, match="F0 and coefficients must be finite"):
+            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 2, 2)))])
+        coeffs[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="F0 and coefficients must be finite"):
+            ConeProgram(c=np.zeros(1), blocks=[(np.eye(2), coeffs)])
+        with pytest.raises(ValueError, match="y0 must be a finite vector"):
+            solve(analytic_program(), y0=np.array([bad]))
 
 
 def test_iteration_cap_reported(monkeypatch):
@@ -258,22 +271,22 @@ def packed_steps(lams, ds, dz):
 
 
 def test_layout_tables():
-    # the transpose permutation is an involution, the svec gather of a
-    # packed iterate is the blocks' svecs side by side, and the
-    # block-diagonal scatter is zero off the blocks
+    # each block of a packed svec is the smat of its rows, the block-diagonal
+    # scatter is zero off the blocks, the svec gather of that matrix is the
+    # blocks' svecs side by side, and the block starts sum each block
     rng = default_rng(19)
     more = [random_cone_program(k).block_sizes for k in range(3)]
     for sizes in [(2, 3, 3), (1,), (4, 1, 2)] + more:
         lay = layout(sizes)
-        packed = rng.standard_normal(sum(k * k for k in sizes))
-        assert np.array_equal(lay.tperm[lay.tperm], np.arange(packed.size))
-        for blk, blk_t in zip(lay.blocks(packed), lay.blocks(packed[lay.tperm])):
-            assert np.array_equal(blk_t, blk.T)
-        assert np.array_equal(lay.full(packed), sla.block_diag(*lay.blocks(packed)))
-        sym_packed = lay.sym(packed)
-        v = lay.svec(lay.full(sym_packed))
-        assert np.array_equal(v, np.concatenate([svec(b) for b in lay.blocks(sym_packed)]))
-        assert np.allclose(lay.smat(v), lay.full(sym_packed), rtol=0.0, atol=1e-15)
+        v = rng.standard_normal(sum(k * (k + 1) // 2 for k in sizes))
+        blocks = lay.blocks(v)
+        for blk, (rows, _), k in zip(blocks, block_slices(lay), sizes):
+            assert np.array_equal(blk, smat(v[rows], k))
+        assert np.array_equal(lay.smat(v), sla.block_diag(*blocks))
+        assert np.array_equal(lay.svec(lay.smat(v)), np.concatenate([svec(b) for b in blocks]))
+        assert np.allclose(lay.svec(lay.smat(v)), v, rtol=1e-15, atol=0.0)
+        sums = [v[rows] @ v[rows] for rows, _ in block_slices(lay)]
+        assert np.allclose(np.add.reduceat(v * v, lay.starts), sums, rtol=1e-14, atol=0.0)
         lam = rng.standard_normal(lay.n)
         assert np.array_equal(lay.svec(np.diag(lam)), lay.eye * lam[lay.i])
 
@@ -284,7 +297,7 @@ def test_layout_tables_shared_and_read_only():
     first, second = random_cone_program(0), random_cone_program(0)
     lay = sdp._layout(first.block_sizes)
     assert lay is sdp._layout(second.block_sizes)
-    names = ("offsets", "starts", "bd", "tperm", "i", "j", "w", "eye", "lower", "upper")
+    names = ("offsets", "starts", "i", "j", "w", "eye", "lower", "upper")
     for table in [getattr(lay, name) for name in names] + [lower for _, lower in lay.gathers]:
         with pytest.raises(ValueError):
             table[0] = 1
@@ -355,13 +368,16 @@ def test_max_step_with_shared_eigenvalue():
                 assert abs(step - min(refs)) <= 1e-10 * min(refs), (step, refs)
 
 
-def random_iterates(rng, prog):
-    # a random interior iterate of prog with nonzero residuals, and its scaling
+def random_iterates(rng, prog, fill=np.empty_like):
+    # a random interior iterate of prog with nonzero residuals, as packed
+    # svecs, and its scaling, whose product buffers fill allocates
     lay = sdp._layout(prog.block_sizes)
     y = rng.standard_normal(prog.num_vars)
-    s, z = (np.concatenate([random_pd_matrix(rng, k).ravel() for k in lay.sizes]) for _ in "sz")
+    s, z = (np.concatenate([svec(random_pd_matrix(rng, k)) for k in lay.sizes]) for _ in "sz")
     rp, rd = sdp._residuals(lay, prog, y, s, z, 1.0, 1.0)[:2]
-    return lay, rp, rd, sdp._Scaling(lay, lay.wides(prog.a), s, z, rp)
+    wides = lay.wides(prog.a)
+    products = [(fill(wide), fill(wide)) for wide in wides]
+    return lay, rp, rd, sdp._Scaling(lay, wides, products, s, z, rp)
 
 
 def random_direction(rng, lay, rd, sc):
@@ -390,6 +406,39 @@ def test_scaled_rows_match_per_coefficient_loop():
             ref = np.array([svec(ginv @ f @ ginv.T) for f in coeffs]).T
             err = np.linalg.norm(sc.svecs[rows] - ref)
             assert err <= 1e-13 * np.linalg.norm(ref), (prog.block_sizes, err)
+
+
+def test_product_buffers_are_overwritten():
+    # the two congruence products write every entry of their buffers, so a
+    # scaling whose buffers start as NaN equals one whose buffers start as zeros
+    buffers = []
+
+    def nan_buffer(wide):
+        buffers.append(np.full_like(wide, np.nan))
+        return buffers[-1]
+
+    for seed, prog in enumerate(kernel_programs()):
+        buffers.clear()
+        nan = random_iterates(default_rng(seed), prog, nan_buffer)[3]
+        zero = random_iterates(default_rng(seed), prog, np.zeros_like)[3]
+        assert not any(np.isnan(b).any() for b in buffers), seed
+        for name in ("svecs", "rp_hat", "lam", "ginv"):
+            assert np.array_equal(getattr(nan, name), getattr(zero, name)), (seed, name)
+
+
+def test_product_buffers_kept_for_the_solve(monkeypatch):
+    # every scaling of one solve writes its products into the same buffers
+    seen, scaling = [], sdp._Scaling
+
+    def record(lay, wides, products, *rest):
+        seen.append(products)
+        return scaling(lay, wides, products, *rest)
+
+    monkeypatch.setattr(sdp, "_Scaling", record)
+    assert solve(kernel_programs()[-1]).status == OPTIMAL
+    assert len(seen) >= 2
+    for first, last in zip(seen[0], seen[-1]):
+        assert all(np.shares_memory(a, b) for a, b in zip(first, last))
 
 
 def test_step_lengths_match_each_block():
@@ -446,10 +495,11 @@ def test_scaling_rejects_non_pd_dual():
     size = lay.n
     indefinite = np.eye(size)
     indefinite[0, 0] = -1e-3
+    wides = lay.wides(prog.a)
+    products = [(np.empty_like(wide), np.empty_like(wide)) for wide in wides]
     for z in (indefinite, np.zeros((size, size))):
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._Scaling(lay, lay.wides(prog.a), np.eye(size).ravel(), z.ravel(),
-                         np.zeros(size * size))
+            sdp._Scaling(lay, wides, products, svec(np.eye(size)), svec(z), np.zeros(lay.w.size))
 
 
 def test_contractions_match_reference_forms():
@@ -469,7 +519,7 @@ def test_contractions_match_reference_forms():
             np.tensordot(coeffs, z, axes=([1, 2], [0, 1]))
             for (_, coeffs), z in zip(parts(prog), zs)
         )
-        adj = prog.a @ np.concatenate([z.ravel() for z in zs])
+        adj = prog.a @ np.concatenate([svec(z) for z in zs])
         assert np.linalg.norm(adj - ref) <= rtol * np.linalg.norm(ref)
 
 
@@ -488,12 +538,20 @@ def test_block_order_does_not_move_optimum():
 
 
 def test_coefficient_view_shares_memory():
-    # one stored program: each block's F0 and coefficient stack are views of
-    # the packed f0 and a
-    prog = random_cone_program(0)
-    for k, (f0, coeffs) in zip(prog.block_sizes, parts(prog)):
-        assert np.shares_memory(f0, prog.f0) and np.shares_memory(coeffs, prog.a)
-        assert f0.shape == (k, k) and coeffs.shape == (prog.num_vars, k, k)
+    # one stored program, in svec coordinates: a has one column per svec
+    # entry, and each block's F0 and coefficient stack unpack to the
+    # symmetrized inputs
+    rng = default_rng(21)
+    p, sizes = 4, (3, 1, 5)
+    blocks = [(rng.standard_normal((k, k)), rng.standard_normal((p, k, k))) for k in sizes]
+    prog = ConeProgram(c=np.ones(p), blocks=blocks)
+    assert prog.a.shape == (p, sum(k * (k + 1) // 2 for k in sizes))
+    assert prog.f0.shape == (prog.a.shape[1],)
+    lay = sdp._layout(prog.block_sizes)
+    for (f0, coeffs), f0_k, coeffs_k in zip(blocks, lay.blocks(prog.f0), lay.blocks(prog.a)):
+        ref_f0, ref_coeffs = 0.5 * (f0 + f0.T), 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+        assert np.linalg.norm(f0_k - ref_f0) <= 1e-15 * np.linalg.norm(ref_f0)
+        assert np.linalg.norm(coeffs_k - ref_coeffs) <= 1e-15 * np.linalg.norm(ref_coeffs)
 
 
 # Prints the iterations summed over the 12 (6, 3) certify-rank3 pairs of seed 0.
@@ -509,9 +567,9 @@ print(total)
 
 
 def test_iteration_totals_within_budget(monkeypatch):
-    # interior-point iterations summed over the criterion-4 sweep (3714),
-    # the 100 (5, 2) samples of ecdf stream 0 (966) and the 12 (6, 3)
-    # certify-rank3 pairs of seed 0 (139 at one BLAS thread, 140 at two),
+    # interior-point iterations summed over the criterion-4 sweep (3711),
+    # the 100 (5, 2) samples of ecdf stream 0 (968) and the 12 (6, 3)
+    # certify-rank3 pairs of seed 0 (140 at one BLAS thread, 142 at two),
     # with 5% headroom over the larger count: a change that costs
     # iterations fails
     counts = []
