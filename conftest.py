@@ -1,0 +1,23 @@
+"""Pytest hooks shared by every test directory."""
+
+import os
+
+import numpy
+import scipy
+
+
+def _blas_settings() -> str:
+    # Timings and rounding-level results depend on the OpenBLAS thread
+    # count, which is fixed when the library loads; every log shows it.
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"OPENBLAS_NUM_THREADS={threads}, numpy {numpy.__version__}, scipy {scipy.__version__}"
+
+
+def pytest_report_header(config):
+    return _blas_settings()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q drops the header, so a quiet log shows the settings at its end.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(_blas_settings())

@@ -208,11 +208,12 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     below ``1e-12 max(||x||^2, ||z||^2)`` means ``x x^T = z z^T``, and no
     program exists.  ``N`` is an orthonormal basis of the null space of
     the stationarity rows: the complement of their span, from
-    :func:`orth_complement`.  The H'-coefficients of the gram blocks are
-    the matrices ``smat(N^T)``, and those of the curvature block are the
-    Hessian form of the same stack, restricted to the face ``K``.  The
-    curvature block is zero, and dropped, when ``x`` and ``z`` are
-    collinear and the null space is empty.
+    :func:`orth_complement`.  The program is written packed: the gram
+    blocks' svec rows for ``w`` are ``N^T`` itself, as the columns of ``N``
+    are svec(H') coordinates, and the curvature block's are the svecs of
+    the Hessian form of the stack ``smat(N^T)``, restricted to the face
+    ``K``.  The curvature block is zero, and dropped, when ``x`` and ``z``
+    are collinear and the null space is empty.
     """
     x, z = pair.xhat, pair.zhat
     m, r = x.shape
@@ -229,7 +230,6 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     dim_h = svec_dim(m)
     basis = orth_complement(_stationarity_rows(jac, evec).T)
     stack = smat(basis.T, dim_h)
-    eye = np.eye(dim_h)
     # The Hessian form 2 I_r kron smat(H' e') + J'^T H' J', on the face.
     curvature = jac.T @ stack @ jac
     half = smat(stack @ evec, m)
@@ -237,12 +237,14 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
         curvature[:, j * m : (j + 1) * m, j * m : (j + 1) * m] += 2.0 * half
     face = _face(x)
     curvature = face.T @ curvature @ face
-    zero_q = np.zeros((face.shape[1],) * 2)
-    # (role, F0, stack of the delta coefficient and the w coefficients)
+    # Symmetrized before packing: the products above are symmetric only to rounding.
+    curv_rows = svec(0.5 * (curvature + curvature.transpose(0, 2, 1)))
+    eye = svec(np.eye(dim_h))
+    # (role, svec(F0), rows svec(F_i) of the delta coefficient and the w coefficients)
     blocks = [
-        ("curvature", zero_q, np.concatenate([zero_q[None], curvature])),
-        ("gram-lower", -eye, np.concatenate([eye[None], stack])),
-        ("gram-upper", eye, np.concatenate([eye[None], -stack])),
+        ("curvature", np.zeros(curv_rows.shape[1]), np.pad(curv_rows, ((1, 0), (0, 0)))),
+        ("gram-lower", -eye, np.vstack([eye, basis.T])),
+        ("gram-upper", eye, np.vstack([eye, -basis.T])),
     ]
     if np.abs(curvature).max(initial=0.0) <= 1e-12:
         del blocks[0]
@@ -250,7 +252,7 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     c[0] = 1.0
     return LmiProblem(
         dim_h=dim_h,
-        cone=ConeProgram(c=c, blocks=[(f0, coeffs) for _, f0, coeffs in blocks]),
+        cone=ConeProgram(c=c, blocks=[(f0, a) for _, f0, a in blocks]),
         basis=basis,
         roles=[name for name, *_ in blocks],
         jac=jac,

@@ -28,6 +28,8 @@ class MeasurementOperator:
         a = np.asarray(self.matrices, dtype=float)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"expected (m, n, n) matrices, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("operator matrices must be finite")
         self.matrices = a
 
     @property

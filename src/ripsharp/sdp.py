@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import smat, svec, svec_indices
+from .linalg import smat, svec_dim, svec_indices, svec_side
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"
@@ -47,10 +47,10 @@ STEP_SHRINK = 0.98
 class ConeProgram:
     """Block LMI F0^k + sum_i y_i F_i^k >= 0 with linear objective c^T y, stored packed.
 
-    Built from ``(F0, coeffs)`` pairs, one per block, ``coeffs`` the
-    (p, k, k) stack F_1 ... F_p; both must be finite, and are symmetrized.
-    Row i of ``a`` (p x sum k(k+1)/2) holds the blocks' svec(F_i) side by
-    side, and ``f0`` their svec(F0) in the same order.
+    Built from ``(f0, a)`` pairs, one per block of side k: ``f0`` =
+    svec(F0) and ``a`` the (p, k(k+1)/2) rows svec(F_1) ... svec(F_p), all
+    finite.  Row i of ``a`` (p x sum k(k+1)/2) holds the blocks' svec(F_i)
+    side by side, and ``f0`` their svec(F0) in the same order.
     """
 
     __slots__ = ("c", "a", "f0", "block_sizes")
@@ -59,25 +59,20 @@ class ConeProgram:
         self.c = np.asarray(c, dtype=float).reshape(-1)
         if not np.isfinite(self.c).all():
             raise ValueError("c must be finite")
-        p = self.c.shape[0]
-        sizes, packed = [], []
-        for f0, coeffs in blocks:
-            f0, coeffs = np.asarray(f0, dtype=float), np.asarray(coeffs, dtype=float)
-            if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
-                raise ValueError(f"F0 must be a square matrix, got shape {f0.shape}")
-            if coeffs.shape != (p,) + f0.shape:
-                raise ValueError(f"coefficients must be a {(p,) + f0.shape} stack, one "
-                                 f"F_i shaped like F0 per variable; got shape {coeffs.shape}")
-            stack = np.concatenate([f0[None], coeffs])
-            if not np.isfinite(stack).all():
-                raise ValueError("F0 and coefficients must be finite")
-            sizes.append(f0.shape[0])
-            packed.append(svec(0.5 * (stack + stack.transpose(0, 2, 1))))
-        if not packed:
+        if not blocks:
             raise ValueError("program has no blocks")
-        self.block_sizes = tuple(sizes)
-        self.f0 = np.concatenate([v[0] for v in packed])
-        self.a = np.hstack([v[1:] for v in packed])
+        f0s, rows = zip(*[(np.asarray(f0, dtype=float), np.asarray(a, dtype=float))
+                          for f0, a in blocks])
+        self.block_sizes = tuple(svec_side(f0.size) for f0 in f0s)
+        for f0, a, k in zip(f0s, rows, self.block_sizes):
+            if f0.shape != (svec_dim(k),):
+                raise ValueError(f"F0 must be the svec of a square matrix, got shape {f0.shape}")
+            if a.shape != (self.c.size,) + f0.shape:
+                raise ValueError(f"coefficients must be a {(self.c.size,) + f0.shape} array, "
+                                 f"one svec(F_i) per variable; got shape {a.shape}")
+        self.f0, self.a = np.concatenate(f0s), np.hstack(rows)
+        if not (np.isfinite(self.f0).all() and np.isfinite(self.a).all()):
+            raise ValueError("F0 and coefficients must be finite")
 
     @property
     def num_vars(self) -> int:

@@ -226,6 +226,12 @@ def test_nonfinite_inputs_exit_one(tmp_path, capsys):
         out = str(tmp_path / "bundle.json")
         assert cli.main(["counterexample", "--z", str(x), "--out", out]) == 1
         assert "must be finite" in capsys.readouterr().err
+        inst = {"n": 2, "r": 1, "scale": 0.5, "Z": [[1.0], [0.0]],
+                "A": [[[float(entry), 0.0], [0.0, 1.0]]]}
+        with open(out, "w") as fh:
+            json.dump({"instance": inst, "x": [0.0, 1.0]}, fh)
+        assert cli.main(["verify", "--instance", out]) == 1
+        assert f"error: {out}: operator matrices must be finite" in capsys.readouterr().err
 
 
 def test_csv_independent_of_blas_threads(tmp_path):

@@ -401,7 +401,7 @@ def vec_program(pair):
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0
     y0 = np.concatenate([[INITIAL_DELTA], basis.T @ svec(eye)])
-    return sdp.ConeProgram(c=c, blocks=blocks), y0
+    return sdp.ConeProgram(c=c, blocks=[(svec(f0), svec(a)) for f0, a in blocks]), y0
 
 
 def _pair(shape, seed):

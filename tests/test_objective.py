@@ -151,6 +151,14 @@ def test_rip_constant_scaled_operator():
     assert abs(rip_constant_fullspace(op) - 0.21) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_rejects_nonfinite_matrices(bad):
+    a = np.eye(4).reshape(4, 2, 2)
+    a[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="operator matrices must be finite"):
+        MeasurementOperator(a)
+
+
 def test_instance_json_roundtrip():
     inst, _ = random_instance(12, 3, 1)
     back = RecoveryInstance.from_json(inst.to_json())

@@ -11,7 +11,7 @@ from numpy.random import default_rng
 
 import ripsharp
 from ripsharp import cli, lmi, sdp
-from ripsharp.linalg import smat, svec
+from ripsharp.linalg import smat, svec, svec_dim
 from ripsharp.sdp import MAX_ITERATIONS, OPTIMAL, ConeProgram, solve
 
 
@@ -36,7 +36,12 @@ def random_cone_program(seed):
         coeffs[i, 2 * i + 1, 2 * i + 1] = -1.0
     blocks.append((f0, coeffs))
     c = rng.standard_normal(p)
-    return ConeProgram(c=c, blocks=blocks)
+    return ConeProgram(c=c, blocks=packed(blocks))
+
+
+def packed(blocks):
+    # (F0, (p, k, k) stack) pairs of symmetric matrices as the svec pairs ConeProgram takes
+    return [(svec(f0), svec(coeffs)) for f0, coeffs in blocks]
 
 
 def parts(prog):
@@ -67,7 +72,7 @@ def analytic_program():
     eye = np.eye(2)
     lower = (target - eye, eye[None])
     upper = (eye - target, eye[None])
-    return ConeProgram(c=np.array([1.0]), blocks=[lower, upper])
+    return ConeProgram(c=np.array([1.0]), blocks=packed([lower, upper]))
 
 
 def test_reference_optima():
@@ -116,7 +121,7 @@ def test_analytic_dual_structure():
 
 def test_objective_rescaling():
     prog = random_cone_program(1)
-    scaled = ConeProgram(c=100.0 * prog.c, blocks=parts(prog))
+    scaled = ConeProgram(c=100.0 * prog.c, blocks=packed(parts(prog)))
     base = solve(prog)
     res = solve(scaled)
     assert res.status == OPTIMAL
@@ -129,7 +134,7 @@ def test_constraint_rescaling():
     prog = random_cone_program(2)
     scaled = ConeProgram(
         c=prog.c,
-        blocks=[(100.0 * f0, 100.0 * coeffs) for f0, coeffs in parts(prog)],
+        blocks=packed((100.0 * f0, 100.0 * coeffs) for f0, coeffs in parts(prog)),
     )
     base = solve(prog)
     res = solve(scaled)
@@ -137,38 +142,32 @@ def test_constraint_rescaling():
     assert abs(res.pobj - base.pobj) <= 1e-6
 
 
-def test_block_value_symmetrized():
-    coeffs = np.zeros((1, 2, 2))
-    coeffs[0, 0, 1] = 2.0
-    [(f0, coeffs)] = parts(ConeProgram(c=np.zeros(1), blocks=[(np.eye(2), coeffs)]))
-    val = f0 + np.tensordot(np.array([1.0]), coeffs, axes=1)
-    assert np.allclose(val, val.T)
-    assert abs(val[0, 1] - 1.0) < 1e-15
-
-
 def test_block_rejects_mismatched_coefficients():
-    for coeffs in (np.zeros((1, 3, 3)), np.zeros((1, 2, 3)), np.zeros((2, 2)), np.zeros((2, 2, 2))):
+    # one svec row of length k(k+1)/2 = 3 per variable, shaped like svec(F0)
+    for coeffs in (np.zeros((1, 6)), np.zeros((1, 2)), np.zeros(3), np.zeros((2, 3)),
+                   np.zeros((1, 2, 2))):
         with pytest.raises(ValueError, match="coefficients must be a"):
-            ConeProgram(c=np.zeros(1), blocks=[(np.eye(2), coeffs)])
+            ConeProgram(c=np.zeros(1), blocks=[(svec(np.eye(2)), coeffs)])
 
 
 def test_program_rejects_non_square_f0_and_no_blocks():
-    for f0 in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="F0 must be a square matrix"):
-            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 2, 2)))])
+    # svec(F0) of a square matrix is a vector of length k(k+1)/2
+    for f0 in (np.zeros(2), np.zeros(4), np.zeros((2, 2)), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="F0 must be the svec of a square matrix"):
+            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, f0.size)))])
     with pytest.raises(ValueError, match="program has no blocks"):
         ConeProgram(c=np.zeros(1), blocks=[])
     # a non-finite objective, F0 entry or coefficient, or start point
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="c must be finite"):
-            ConeProgram(c=np.array([bad]), blocks=[(np.eye(2), np.zeros((1, 2, 2)))])
-        f0, coeffs = np.eye(2), np.zeros((1, 2, 2))
-        f0[0, 1] = bad
+            ConeProgram(c=np.array([bad]), blocks=[(svec(np.eye(2)), np.zeros((1, 3)))])
+        f0, coeffs = svec(np.eye(2)), np.zeros((1, 3))
+        f0[1] = bad
         with pytest.raises(ValueError, match="F0 and coefficients must be finite"):
-            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 2, 2)))])
-        coeffs[0, 1, 1] = bad
+            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 3)))])
+        coeffs[0, 2] = bad
         with pytest.raises(ValueError, match="F0 and coefficients must be finite"):
-            ConeProgram(c=np.zeros(1), blocks=[(np.eye(2), coeffs)])
+            ConeProgram(c=np.zeros(1), blocks=[(svec(np.eye(2)), coeffs)])
         with pytest.raises(ValueError, match="y0 must be a finite vector"):
             solve(analytic_program(), y0=np.array([bad]))
 
@@ -490,7 +489,7 @@ def test_scaling_rejects_non_pd_dual():
     # a Z that is not positive definite fails the NT scaling, so the
     # solve takes the step-failure path instead of stepping on
     prog = random_cone_program(0)
-    prog = ConeProgram(c=prog.c, blocks=parts(prog)[:1])
+    prog = ConeProgram(c=prog.c, blocks=packed(parts(prog)[:1]))
     lay = sdp._layout(prog.block_sizes)
     size = lay.n
     indefinite = np.eye(size)
@@ -529,7 +528,7 @@ def test_block_order_does_not_move_optimum():
     for seed in range(10):
         prog = random_cone_program(seed)
         base = solve(prog)
-        pairs = parts(prog)
+        pairs = packed(parts(prog))
         for blocks in (pairs[::-1], pairs[1:] + pairs[:1]):
             res = solve(ConeProgram(c=prog.c, blocks=blocks))
             assert res.status == OPTIMAL, (seed, res.status)
@@ -539,19 +538,20 @@ def test_block_order_does_not_move_optimum():
 
 def test_coefficient_view_shares_memory():
     # one stored program, in svec coordinates: a has one column per svec
-    # entry, and each block's F0 and coefficient stack unpack to the
-    # symmetrized inputs
+    # entry, each block's f0 and rows are stored side by side as given, and
+    # its block side is read from their length
     rng = default_rng(21)
     p, sizes = 4, (3, 1, 5)
-    blocks = [(rng.standard_normal((k, k)), rng.standard_normal((p, k, k))) for k in sizes]
+    blocks = [(rng.standard_normal(svec_dim(k)), rng.standard_normal((p, svec_dim(k))))
+              for k in sizes]
     prog = ConeProgram(c=np.ones(p), blocks=blocks)
-    assert prog.a.shape == (p, sum(k * (k + 1) // 2 for k in sizes))
+    assert prog.block_sizes == sizes
+    assert prog.a.shape == (p, sum(svec_dim(k) for k in sizes))
     assert prog.f0.shape == (prog.a.shape[1],)
     lay = sdp._layout(prog.block_sizes)
-    for (f0, coeffs), f0_k, coeffs_k in zip(blocks, lay.blocks(prog.f0), lay.blocks(prog.a)):
-        ref_f0, ref_coeffs = 0.5 * (f0 + f0.T), 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-        assert np.linalg.norm(f0_k - ref_f0) <= 1e-15 * np.linalg.norm(ref_f0)
-        assert np.linalg.norm(coeffs_k - ref_coeffs) <= 1e-15 * np.linalg.norm(ref_coeffs)
+    for (f0, a), (rows, _) in zip(blocks, lay.gathers):
+        assert np.array_equal(prog.f0[rows], f0)
+        assert np.array_equal(prog.a[:, rows], a)
 
 
 # Prints the iterations summed over the 12 (6, 3) certify-rank3 pairs of seed 0.
@@ -567,9 +567,9 @@ print(total)
 
 
 def test_iteration_totals_within_budget(monkeypatch):
-    # interior-point iterations summed over the criterion-4 sweep (3711),
-    # the 100 (5, 2) samples of ecdf stream 0 (968) and the 12 (6, 3)
-    # certify-rank3 pairs of seed 0 (140 at one BLAS thread, 142 at two),
+    # interior-point iterations summed over the criterion-4 sweep (3713),
+    # the 100 (5, 2) samples of ecdf stream 0 (965) and the 12 (6, 3)
+    # certify-rank3 pairs of seed 0 (140 at one BLAS thread, 139 at two),
     # with 5% headroom over the larger count: a change that costs
     # iterations fails
     counts = []
