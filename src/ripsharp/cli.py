@@ -24,6 +24,7 @@ import numpy as np
 
 from . import closedform, counterexample, lmi
 from .errors import NotSpuriousError, SolverError
+from .linalg import coincident
 from .objective import RecoveryInstance, criticality_certificate, rip_constant_fullspace
 
 EXIT_OK = 0
@@ -53,15 +54,12 @@ class SweepConfig:
     phi_max: float
     phi_steps: int
     mode: str = "both"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("rho_min", "rho_max", "phi_min", "phi_max"):
             setattr(self, name, _as_float(getattr(self, name), name))
         self.rho_steps = _as_int(self.rho_steps, "rho_steps")
         self.phi_steps = _as_int(self.phi_steps, "phi_steps")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError("out must be a path string")
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be one of {', '.join(SWEEP_MODES)}")
         if min(self.rho_steps, self.phi_steps) < 2:
@@ -148,7 +146,7 @@ def draw_pair(
         else:
             z = np.zeros((n, r))
             z[np.arange(r), np.arange(r)] = rng.standard_normal(r)
-        if np.linalg.norm(x @ x.T - z @ z.T) > 1e-12:
+        if not coincident(np.linalg.norm(x @ x.T - z @ z.T), max(np.sum(x * x), np.sum(z * z))):
             return x, z
         log.warning("degenerate draw at sample %d of seed %d; resampling", index, seed)
 
@@ -251,7 +249,7 @@ def load_sweep_config(path: str) -> SweepConfig:
     unknown = sorted(set(payload) - fields)
     if unknown:
         raise ValueError(f"{path}: unknown config fields: {', '.join(unknown)}")
-    missing = sorted(fields - {"mode", "out"} - set(payload))
+    missing = sorted(fields - {"mode"} - set(payload))
     if missing:
         raise ValueError(f"{path}: missing config fields: {', '.join(missing)}")
     try:
@@ -291,15 +289,13 @@ def _require_converged(status: str, what: str) -> None:
 
 
 def _cmd_delta(args) -> int:
-    if (args.rho is None) == (args.x is None):
-        raise ValueError("give either --rho/--phi or --x/--z")
     if args.rho is not None:
-        if args.phi is None:
-            raise ValueError("--rho requires --phi")
+        if args.phi is None or args.z is not None:
+            raise ValueError("--rho takes --phi and no --z")
         x, z = closedform.canonical_pair(args.rho, np.deg2rad(args.phi))
     else:
-        if args.z is None:
-            raise ValueError("--x requires --z")
+        if args.z is None or args.phi is not None:
+            raise ValueError("--x takes --z and no --phi")
         x, z = load_array(args.x), load_array(args.z)
     sol = lmi.delta_exact(x, z)
     _require_converged(sol.status, "the pair")
@@ -321,8 +317,6 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    if (args.n is None) == (args.z is None):
-        raise ValueError("give exactly one of --n or --z")
     if args.n is not None:
         if args.n < 2:
             raise ValueError("need n >= 2")
@@ -349,13 +343,9 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_sweep_config(args.config)
-    out = args.out or cfg.out
-    if out is None:
-        raise ValueError('no output path: pass --out or set "out" in the config')
-    rows = sweep_grid(cfg)
-    write_csv(out, SWEEP_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    rows = sweep_grid(load_sweep_config(args.config))
+    write_csv(args.out, SWEEP_HEADER, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -394,10 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("delta", help="exact threshold for one factor pair")
-    p.add_argument("--rho", type=float, help="length ratio of the canonical pair")
-    p.add_argument("--phi", type=float, help="angle in degrees")
-    p.add_argument("--x", help="text file with the candidate factor")
-    p.add_argument("--z", help="text file with the ground-truth factor")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--rho", type=float, help="length ratio of the canonical pair")
+    p.add_argument("--phi", type=float, help="angle in degrees, with --rho")
+    given.add_argument("--x", help="text file with the candidate factor")
+    p.add_argument("--z", help="text file with the ground-truth factor, with --x")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("lowerbound", help="closed-form rank-1 threshold bound")
@@ -408,15 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "counterexample", help="sharp instance with a spurious point at RIP 1/2"
     )
-    p.add_argument("--n", type=int, help="dimension; ground truth defaults to e_1")
-    p.add_argument("--z", help="text file with the ground-truth vector")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--n", type=int, help="dimension; ground truth defaults to e_1")
+    given.add_argument("--z", help="text file with the ground-truth vector")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output JSON bundle")
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("sweep", help="polar grid sweep to CSV")
     p.add_argument("--config", required=True, help="JSON file with the grid plan")
-    p.add_argument("--out", help="output CSV (overrides the config)")
+    p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ecdf", help="sample thresholds of random pairs to CSV")

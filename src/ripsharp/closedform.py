@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, NotSpuriousError
+from .linalg import coincident
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,10 +83,10 @@ def from_polar(rho: float, phi: float) -> PolarParams:
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     sin_sq = np.sin(phi) ** 2
-    den = (rho**2 - 1.0) ** 2 + 2.0 * rho**2 * sin_sq
-    if den <= (1e-9 * (1.0 + rho**2)) ** 2:
+    d = np.sqrt((rho**2 - 1.0) ** 2 + 2.0 * rho**2 * sin_sq)
+    # For ||z|| = 1 the residual norm is d and the larger squared norm max(rho^2, 1).
+    if coincident(d, max(rho**2, 1.0)):
         raise NotSpuriousError("candidate reproduces the ground truth")
-    d = np.sqrt(den)
     return PolarParams(rho=rho, phi=float(phi), alpha=sin_sq / d, beta=rho**2 / d)
 
 

@@ -19,6 +19,12 @@ from .errors import NotPsdError
 RANK_RTOL = 1e-9
 
 
+def coincident(residual: float, scale: float) -> bool:
+    """The package's one test of ``x x^T = z z^T`` (x not spurious): the residual
+    ``||x x^T - z z^T||_F`` is at most 1e-12 of ``scale = max(||x||^2, ||z||^2)``."""
+    return residual <= 1e-12 * scale
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major vectorization of a matrix."""
     return np.asarray(a).reshape(-1, order="F")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSpuriousError
-from .linalg import RANK_RTOL, as_factor, factor_gram, orth_complement, smat, svec
+from .linalg import RANK_RTOL, as_factor, coincident, factor_gram, orth_complement, smat, svec
 from .linalg import svec_dim, svec_side, sym, sym_basis, vec
 from .objective import MeasurementOperator, curvature_form, jacobian_mat
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
@@ -204,21 +204,21 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     ``H`` between ``(1 -/+ delta) I``.
 
     The factors are first scaled by ``||x x^T - z z^T||^(-1/2)``, which
-    gives the residual unit norm and leaves delta unchanged; a residual
-    below ``1e-12 max(||x||^2, ||z||^2)`` means ``x x^T = z z^T``, and no
-    program exists.  ``N`` is an orthonormal basis of the null space of
-    the stationarity rows: the complement of their span, from
-    :func:`orth_complement`.  The program is written packed: the gram
-    blocks' svec rows for ``w`` are ``N^T`` itself, as the columns of ``N``
-    are svec(H') coordinates, and the curvature block's are the svecs of
-    the Hessian form of the stack ``smat(N^T)``, restricted to the face
-    ``K``.  The curvature block is zero, and dropped, when ``x`` and ``z``
-    are collinear and the null space is empty.
+    gives the residual unit norm and leaves delta unchanged; no program
+    exists when :func:`linalg.coincident` finds ``x x^T = z z^T``.  ``N``
+    is an orthonormal basis of the null space of the stationarity rows:
+    the complement of their span, from :func:`orth_complement`.  The
+    program is written packed: the gram blocks' svec rows for ``w`` are
+    ``N^T`` itself, as the columns of ``N`` are svec(H') coordinates, and
+    the curvature block's are the svecs of the Hessian form of the stack
+    ``smat(N^T)``, restricted to the face ``K``.  The curvature block is
+    zero, and dropped, when ``x`` and ``z`` are collinear and the null
+    space is empty.
     """
     x, z = pair.xhat, pair.zhat
     m, r = x.shape
     e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
-    if e_norm <= 1e-12 * max(float(np.sum(x * x)), float(np.sum(z * z))):
+    if coincident(e_norm, max(float(np.sum(x * x)), float(np.sum(z * z)))):
         raise NotSpuriousError(
             "x x^T equals z z^T; every operator makes x a global optimum"
         )

@@ -79,20 +79,20 @@ def test_sweep_config_validation(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg), "--out", "x.csv"]) == 1
     cfg.write_text("{not json")
     assert cli.main(["sweep", "--config", str(cfg), "--out", "x.csv"]) == 1
-    # wrongly typed values are input errors that name the file; "out" is
-    # checked without --out, which would override it
+    # wrongly typed values and stray fields are input errors that name the file;
+    # the output path is --out alone
     out = ["--out", str(tmp_path / "grid.csv")]
-    for overrides, flags in [
-        ({"rho_min": "a"}, out),
-        ({"rho_steps": None}, out),
-        ({"rho_steps": "3"}, out),
-        ({"rho_max": float("inf")}, out),
-        ({"out": 1}, []),
+    for overrides, message in [
+        ({"rho_min": "a"}, "rho_min must be a finite number"),
+        ({"rho_steps": None}, "rho_steps must be a finite number"),
+        ({"rho_steps": "3"}, "rho_steps must be a finite number"),
+        ({"rho_max": float("inf")}, "rho_max must be a finite number"),
+        ({"out": str(tmp_path / "grid.csv")}, "unknown config fields: out"),
     ]:
         write_sweep_config(cfg, **overrides)
         capsys.readouterr()
-        assert cli.main(["sweep", "--config", str(cfg)] + flags) == 1, overrides
-        assert capsys.readouterr().err.startswith(f"error: {cfg}: "), overrides
+        assert cli.main(["sweep", "--config", str(cfg)] + out) == 1, overrides
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n", overrides
     assert not (tmp_path / "grid.csv").exists()
 
 
@@ -132,11 +132,18 @@ def test_delta_subcommand_files(tmp_path, capsys):
     assert abs(float(first.split()[-1]) - 0.5) <= 1e-3
 
 
-def test_delta_subcommand_rejects_mixed_inputs(tmp_path):
+def test_delta_subcommand_rejects_mixed_inputs(tmp_path, capsys):
     x = tmp_path / "x.txt"
     np.savetxt(x, np.array([1.0, 0.0]))
-    assert cli.main(["delta", "--rho", "1.0", "--x", str(x)]) == 1
-    assert cli.main(["delta"]) == 1
+    for argv, message in [
+        (["--rho", "0.5", "--phi", "90", "--z", str(x)], "--rho takes --phi and no --z"),
+        (["--rho", "0.5"], "--rho takes --phi and no --z"),
+        (["--x", str(x), "--z", str(x), "--phi", "90"], "--x takes --z and no --phi"),
+        (["--x", str(x)], "--x takes --z and no --phi"),
+    ]:
+        capsys.readouterr()
+        assert cli.main(["delta"] + argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_lowerbound_subcommand(capsys):
@@ -260,16 +267,24 @@ def test_csv_independent_of_blas_threads(tmp_path):
 
 def test_missing_files_exit_one(tmp_path):
     assert cli.main(["verify", "--instance", str(tmp_path / "absent.json")]) == 1
-    assert cli.main(["sweep", "--config", str(tmp_path / "absent.json")]) == 1
+    argv = ["sweep", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 1
 
 
-def test_bad_flags_exit_one():
+def test_bad_flags_exit_one(capsys):
     for argv in (["delta", "--rho", "not-a-number", "--phi", "0"],
                  ["no-such-command"],
-                 []):
+                 [],
+                 ["delta"],
+                 ["delta", "--rho", "0.5", "--phi", "90", "--x", "x.txt"],
+                 ["counterexample", "--n", "3", "--z", "z.txt", "--out", "b.json"],
+                 ["counterexample", "--out", "b.json"],
+                 ["sweep", "--config", "plan.json"]):
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
-        assert exc.value.code == 1
+        assert exc.value.code == 1, argv
+        assert "error: " in capsys.readouterr().err, argv
 
 
 def test_solver_failure_exit_two(monkeypatch):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ripsharp import cli, lmi, sdp
-from ripsharp.closedform import canonical_pair
+from ripsharp.closedform import canonical_pair, delta_lower_from_vectors
 from ripsharp.errors import NotSpuriousError
-from ripsharp.linalg import mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
+from ripsharp.linalg import coincident, mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
 from ripsharp.lmi import (
     INITIAL_DELTA,
     STATUS_NOT_BELOW_ONE,
@@ -164,6 +164,28 @@ def test_equal_products_not_spurious():
     z = np.array([1.0, 2.0, 0.5])
     with pytest.raises(NotSpuriousError):
         delta_exact(z, z)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-13, -1e-13, 1e-10, -1e-10, 1e-8, -1e-8])
+def test_closed_form_and_program_share_the_coincidence_rule(t):
+    # x = (1 + t) z: coincident within 1e-12 of the scale, else spurious with delta = 1
+    x, z = canonical_pair(1.0 + t, 0.0)
+    if abs(t) < 1e-12:
+        for solve in (delta_lower_from_vectors, delta_exact):
+            with pytest.raises(NotSpuriousError):
+                solve(x, z)
+    else:
+        assert delta_lower_from_vectors(x, z).delta_lb == 1.0
+        assert abs(delta_exact(x, z).delta - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-8])
+def test_coincidence_boundary_is_relative(s):
+    z = np.array([[s], [0.0]])
+    for t, expected in ((0.4e-12, True), (0.6e-12, False)):
+        x = (1.0 + t) * z
+        residual = np.linalg.norm(x @ x.T - z @ z.T)
+        assert coincident(residual, max(np.sum(x * x), np.sum(z * z))) == expected, t
 
 
 def test_rotated_factor_not_spurious():
