@@ -317,13 +317,7 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    if args.n is not None:
-        if args.n < 2:
-            raise ValueError("need n >= 2")
-        z = np.zeros(args.n)
-        z[0] = 1.0
-    else:
-        z = load_array(args.z).reshape(-1)
+    z = np.eye(args.n, 1) if args.n is not None else load_array(args.z)
     ex = counterexample.generate_example(z, seed=args.seed)
     report = counterexample.verify_example(ex)
     bundle = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, NotSpuriousError
-from .linalg import coincident
+from .linalg import as_factor, coincident, pow2_rescale
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,44 +50,45 @@ class ThresholdReport:
 
 def canonical_pair(rho: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Canonical planar pair with the given polar coordinates."""
+    _check_polar(rho, phi)
     x = np.array([rho * np.cos(phi), rho * np.sin(phi)])
     z = np.array([1.0, 0.0])
     return x, z
 
 
 def polar_params(x: np.ndarray, z: np.ndarray) -> PolarParams:
-    """Polar coordinates of a rank-1 pair.
-
-    A zero candidate is assigned ``phi = pi/2`` (any angle gives the same
-    residual).  Raises :class:`NotSpuriousError` when ``x x^T = z z^T``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = np.asarray(z, dtype=float).reshape(-1)
+    """Polar coordinates of a rank-1 pair of vectors or one-column factors of one
+    length.  A zero candidate gets ``cos(phi) = 0``, so ``phi = pi/2`` (any
+    angle gives the same residual).  Raises :class:`NotSpuriousError` when
+    ``x x^T = z z^T``."""
+    x = as_factor(x, "x", (None, 1))[:, 0]
+    z = as_factor(z, "z", (x.size, 1))[:, 0]
+    x, z, _ = pow2_rescale(x, z)  # rho and phi are scale-free; the norms below are not
     z_norm = float(np.linalg.norm(z))
     if z_norm == 0.0:
         raise DegenerateInputError("ground truth z must be nonzero")
     x_norm = float(np.linalg.norm(x))
-    rho = x_norm / z_norm
-    if x_norm == 0.0:
-        phi = np.pi / 2.0
-    else:
-        cos_phi = float(x @ z) / (x_norm * z_norm)
-        phi = float(np.arccos(np.clip(cos_phi, -1.0, 1.0)))
-    return from_polar(rho, phi)
+    cos_phi = float(x @ z) / (x_norm * z_norm) if x_norm else 0.0
+    return from_polar(x_norm / z_norm, float(np.arccos(np.clip(cos_phi, -1.0, 1.0))))
 
 
 def from_polar(rho: float, phi: float) -> PolarParams:
     """Polar parameters from the coordinates themselves."""
-    if not (np.isfinite(rho) and np.isfinite(phi)):
-        raise ValueError("rho and phi must be finite")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    _check_polar(rho, phi)
     sin_sq = np.sin(phi) ** 2
     d = np.sqrt((rho**2 - 1.0) ** 2 + 2.0 * rho**2 * sin_sq)
     # For ||z|| = 1 the residual norm is d and the larger squared norm max(rho^2, 1).
     if coincident(d, max(rho**2, 1.0)):
         raise NotSpuriousError("candidate reproduces the ground truth")
     return PolarParams(rho=rho, phi=float(phi), alpha=sin_sq / d, beta=rho**2 / d)
+
+
+def _check_polar(rho: float, phi: float) -> None:
+    """The polar rule of every entry that reads coordinates: finite rho >= 0, finite phi."""
+    if not (np.isfinite(rho) and np.isfinite(phi)):
+        raise ValueError("rho and phi must be finite")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
 
 
 def psi(gamma, alpha: float):

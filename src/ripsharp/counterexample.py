@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
+from .linalg import as_factor
 from .objective import (
     MeasurementOperator,
     RecoveryInstance,
@@ -56,17 +57,16 @@ class ExampleReport:
 
 
 def generate_example(z: np.ndarray, seed: int = 0) -> ExampleInstance:
-    """Build the sharp instance for ground truth ``z``.
+    """Build the sharp instance for ground truth ``z``, a vector or one-column
+    factor of length n >= 2, checked by :func:`linalg.as_factor`.
 
     The orthonormal completion of ``z/||z||`` is drawn from a seeded
     Gaussian ensemble, so equal seeds give identical instances.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
+    z = as_factor(z, "ground truth z", (None, 1))[:, 0]
     n = z.shape[0]
     if n < 2:
         raise ValueError("need dimension n >= 2")
-    if not np.isfinite(z).all():
-        raise ValueError("ground truth z must be finite")
     z_norm = float(np.linalg.norm(z))
     if z_norm == 0.0:
         raise DegenerateInputError("ground truth z must be nonzero")

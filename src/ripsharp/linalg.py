@@ -40,16 +40,27 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def as_factor(a: np.ndarray, name: str) -> np.ndarray:
-    """A factor as a nonempty, finite float matrix; a vector is an n x 1 column."""
+def as_factor(a: np.ndarray, name: str, shape: tuple = (None, None)) -> np.ndarray:
+    """The package's one factor check: a nonempty, finite float matrix, a vector
+    as an n x 1 column; each entry of ``shape`` but None fixes that dimension."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be a nonempty vector or matrix")
+    if any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        want = ", ".join("any" if s is None else str(s) for s in shape)
+        raise ValueError(f"{name} has shape {a.shape}, need ({want})")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
+
+
+def pow2_rescale(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``2^-k x``, ``2^-k z`` and ``k``, for the k that brings their largest entry into
+    ``[1/2, 1)``: exact, so pairs that differ by a factor ``2^j`` give equal bits."""
+    k = math.frexp(max(np.abs(x).max(), np.abs(z).max()))[1]
+    return np.ldexp(x, -k), np.ldexp(z, -k), k
 
 
 def orth_complement(p: np.ndarray) -> np.ndarray:

@@ -37,21 +37,24 @@ number of rows: the reduced pair, or (``build_lower_lmi``) the same
 pair lifted back to the ambient dimension, with bounds on all of ``H``.
 The reduction is exact, so the two optima coincide; the ambient program
 is the independent cross-check of that claim.  The builder first scales
-the pair to a residual ``x x^T - z z^T`` of unit norm, which leaves
-delta unchanged, and ``solve_lmi`` maps the multipliers back to the
-given scale.
+the pair by the power of two that brings its largest entry into
+``[1/2, 1)``, exactly, and then to a residual ``x x^T - z z^T`` of unit
+norm.  Neither step changes delta, pairs that differ by a factor ``2^k``
+build bit-identical programs, and ``solve_lmi`` maps the multipliers
+back to the given scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotSpuriousError
 from .linalg import RANK_RTOL, as_factor, coincident, factor_gram, orth_complement, smat, svec
-from .linalg import svec_dim, svec_side, sym, sym_basis, vec
+from .linalg import pow2_rescale, svec_dim, svec_side, sym, sym_basis, vec
 from .objective import MeasurementOperator, curvature_form, jacobian_mat
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
 from .sdp import OPTIMAL as STATUS_OPTIMAL
@@ -75,12 +78,10 @@ class ReducedPair:
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, dtype=float)
-        self.xhat = as_factor(self.xhat, "xhat")
-        self.zhat = as_factor(self.zhat, "zhat")
-        if self.p.ndim != 2 or self.p.shape[1] != self.xhat.shape[0]:
-            raise ValueError("span basis does not match the projected factors")
-        if self.xhat.shape != self.zhat.shape:
-            raise ValueError("projected factors must share one shape")
+        if self.p.ndim != 2:
+            raise ValueError("span basis must be a matrix")
+        self.xhat = as_factor(self.xhat, "xhat", (self.d, None))
+        self.zhat = as_factor(self.zhat, "zhat", self.xhat.shape)
         gram = self.p.T @ self.p
         if np.abs(gram - np.eye(self.d)).max() > 1e-8:
             raise ValueError("span basis is not orthonormal")
@@ -184,9 +185,7 @@ class CertificateReport:
 def reduce(x: np.ndarray, z: np.ndarray) -> ReducedPair:
     """Project a factor pair onto an orthonormal basis of their joint span."""
     x = as_factor(x, "x")
-    z = as_factor(z, "z")
-    if x.shape != z.shape:
-        raise ValueError(f"factor shapes differ: {x.shape} vs {z.shape}")
+    z = as_factor(z, "z", x.shape)
     if not (np.any(x) or np.any(z)):
         raise NotSpuriousError("x and z are both zero; no span to reduce to")
     u, s, _ = np.linalg.svd(np.hstack([x, z]), full_matrices=False)
@@ -203,9 +202,12 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     the curvature block keeps its Hessian PSD, and the two gram blocks pin
     ``H`` between ``(1 -/+ delta) I``.
 
-    The factors are first scaled by ``||x x^T - z z^T||^(-1/2)``, which
-    gives the residual unit norm and leaves delta unchanged; no program
-    exists when :func:`linalg.coincident` finds ``x x^T = z z^T``.  ``N``
+    The factors are first scaled by :func:`linalg.pow2_rescale`, the power
+    of two that brings their largest entry into ``[1/2, 1)``, exactly, so
+    pairs that differ by a factor ``2^j`` build one program bit for bit; then by
+    ``||x x^T - z z^T||^(-1/2)``, for a unit residual.  Neither changes
+    delta, ``LmiProblem.scale`` is the product, and no program exists
+    when :func:`linalg.coincident` finds ``x x^T = z z^T``.  ``N``
     is an orthonormal basis of the null space of the stationarity rows:
     the complement of their span, from :func:`orth_complement`.  The
     program is written packed: the gram blocks' svec rows for ``w`` are
@@ -217,6 +219,7 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     """
     x, z = pair.xhat, pair.zhat
     m, r = x.shape
+    x, z, k = pow2_rescale(x, z)  # before any product, which could overflow
     e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
     if coincident(e_norm, max(float(np.sum(x * x)), float(np.sum(z * z)))):
         raise NotSpuriousError(
@@ -259,7 +262,7 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
         evec=evec,
         factor_rank=r,
         face=face,
-        scale=scale,
+        scale=math.ldexp(scale, -k),
     )
 
 

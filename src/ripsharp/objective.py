@@ -65,10 +65,7 @@ class RecoveryInstance:
     scale: float = 0.5
 
     def __post_init__(self) -> None:
-        z = as_factor(self.z, "ground truth")
-        if z.shape[0] != self.operator.n:
-            raise ValueError("ground truth dimension does not match operator")
-        self.z = z
+        self.z = as_factor(self.z, "ground truth", (self.operator.n, None))
         if self.scale not in (0.5, 1.0):
             raise ValueError("scale must be 1/2 or 1")
 
@@ -121,7 +118,7 @@ class CriticalityCertificate:
 
 def residual_vec(inst: RecoveryInstance, x: np.ndarray) -> np.ndarray:
     """Vectorized lifted residual e = vec(XX^T - ZZ^T)."""
-    x = _as_factor(inst, x)
+    x = as_factor(x, "candidate", inst.z.shape)
     return vec(x @ x.T - inst.z @ inst.z.T)
 
 
@@ -158,7 +155,7 @@ def evaluate(
     inst: RecoveryInstance, x: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective value, gradient (n x r) and Hessian (nr x nr) at ``x``."""
-    x = _as_factor(inst, x)
+    x = as_factor(x, "candidate", inst.z.shape)
     n, r = x.shape
     c = inst.scale
     h = inst.operator.gram
@@ -179,7 +176,7 @@ def criticality_certificate(
     The tolerances scale with the operator norm and residual size so that
     exact critical points pass under floating-point noise.
     """
-    x = _as_factor(inst, x)
+    x = as_factor(x, "candidate", inst.z.shape)
     f, grad, hess = evaluate(inst, x)
     op_sq = float(np.linalg.norm(inst.operator.stacked, 2) ** 2)
     e_norm = float(np.linalg.norm(residual_vec(inst, x)))
@@ -197,10 +194,3 @@ def rip_constant_fullspace(op: MeasurementOperator) -> float:
     over all of R^{n x n}, i.e. the eigenvalue spread of the Gram matrix."""
     values = np.linalg.eigvalsh(op.gram)
     return max(1.0 - float(values[0]), float(values[-1]) - 1.0, 0.0)
-
-
-def _as_factor(inst: RecoveryInstance, x: np.ndarray) -> np.ndarray:
-    x = as_factor(x, "candidate")
-    if x.shape != (inst.n, inst.r):
-        raise ValueError(f"candidate shape {x.shape} != {(inst.n, inst.r)}")
-    return x

@@ -224,6 +224,9 @@ def test_nonfinite_inputs_exit_one(tmp_path, capsys):
     x, z = tmp_path / "x.txt", tmp_path / "z.txt"
     z.write_text("1 0\n")
     assert cli.main(["lowerbound", "--rho", "nan", "--phi", "90"]) == 1
+    capsys.readouterr()
+    assert cli.main(["delta", "--rho", "inf", "--phi", "0"]) == 1
+    assert capsys.readouterr().err == "error: rho and phi must be finite\n"
     for entry in ("nan", "inf"):
         x.write_text(f"{entry} 1\n")
         capsys.readouterr()
@@ -239,6 +242,15 @@ def test_nonfinite_inputs_exit_one(tmp_path, capsys):
             json.dump({"instance": inst, "x": [0.0, 1.0]}, fh)
         assert cli.main(["verify", "--instance", out]) == 1
         assert f"error: {out}: operator matrices must be finite" in capsys.readouterr().err
+
+
+def test_matrix_ground_truth_exits_one(tmp_path, capsys):
+    # a 2 x 2 file is not a ground-truth vector, and is not flattened into one
+    z = tmp_path / "z.txt"
+    z.write_text("1 0\n0 1\n")
+    out = str(tmp_path / "bundle.json")
+    assert cli.main(["counterexample", "--z", str(z), "--out", out]) == 1
+    assert capsys.readouterr().err == "error: ground truth z has shape (2, 2), need (any, 1)\n"
 
 
 def test_csv_independent_of_blas_threads(tmp_path):

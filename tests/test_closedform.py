@@ -72,6 +72,18 @@ def test_zero_ground_truth_rejected():
         polar_params(np.array([1.0, 0.0]), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "x,z",
+    [(np.ones((4, 2)), np.ones((4, 2))), (np.ones(4), np.ones(3)),
+     (np.zeros(2), np.array([np.inf, 0.0]))],
+    ids=["rank-2", "lengths", "nonfinite"],
+)
+def test_malformed_factors_rejected(x, z):
+    # the closed form covers two vectors of one length only
+    with pytest.raises(ValueError):
+        delta_lower_from_vectors(x, z)
+
+
 def test_coincident_pair_rejected():
     with pytest.raises(NotSpuriousError):
         from_polar(1.0, 0.0)
@@ -188,6 +200,10 @@ def test_delta_lower_from_vectors_matches_polar():
     via_polar = delta_lower(polar_params(x, z))
     assert abs(direct.delta_lb - via_polar.delta_lb) <= 1e-15
     assert direct.region == via_polar.region
+    assert delta_lower_from_vectors(x[:, None], z[:, None]) == direct
+    # the pair is rescaled by a power of two before its norms are formed
+    for k in (-600, 600):
+        assert delta_lower_from_vectors(np.ldexp(x, k), np.ldexp(z, k)) == direct
 
 
 def test_local_threshold_values():

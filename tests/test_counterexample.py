@@ -91,3 +91,5 @@ def test_operator_row_count():
 def test_scalar_ground_truth_rejected():
     with pytest.raises(ValueError):
         generate_example(np.array([1.0]), seed=0)
+    with pytest.raises(ValueError):
+        generate_example(np.ones((3, 2)), seed=0)

@@ -553,16 +553,21 @@ def test_floor_sweep_points_are_certified(rho, phi, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(4, 1), (5, 2), (6, 3)], ids=["4x1", "5x2", "6x3"])
 def test_builders_are_scale_invariant(shape):
-    # each builder scales the pair to unit residual, so a tiny or huge
-    # pair gives the same program as the pair at unit scale
+    # each builder scales the pair by a power of two and then to unit
+    # residual, so a tiny or huge pair gives the delta of the pair at unit
+    # scale, and a pair scaled by 2^k the same program bit for bit
     x, z = _pair(shape, 7)
-    ref = delta_exact(x, z).delta
-    for s in (1e-9, 1e-7, 1e-3, 1e6):
+    pair = reduce(x, z)
+    refs = [solve_lmi(build_upper_lmi(pair)), solve_lmi(build_lower_lmi(x, z, pair.p))]
+    for s in (1e-9, 1e-7, 1e-3, 1e6, 2.0**-300, 2.0**300):
         pair = reduce(s * x, s * z)
-        for prob in (build_upper_lmi(pair), build_lower_lmi(s * x, s * z, pair.p)):
+        for ref, prob in zip(refs, (build_upper_lmi(pair), build_lower_lmi(s * x, s * z, pair.p))):
             sol = solve_lmi(prob)
             assert sol.status == STATUS_OPTIMAL, (s, prob.dim_h)
-            assert abs(sol.delta - ref) <= 1e-9, (s, prob.dim_h)
+            assert abs(sol.delta - refs[0].delta) <= 1e-9, (s, prob.dim_h)
+            if np.log2(s).is_integer():
+                got = (sol.status, sol.delta, sol.iterations)
+                assert got == (ref.status, ref.delta, ref.iterations), (s, prob.dim_h)
 
 
 @pytest.mark.parametrize("n,r,seed", [(4, 1, 20), (5, 2, 22), (6, 3, 24)])
