@@ -5,12 +5,16 @@ import os
 import numpy
 import scipy
 
+from ripsharp import sdp
+
 
 def _blas_settings() -> str:
     # Timings and rounding-level results depend on the OpenBLAS thread
-    # count, which is fixed when the library loads; every log shows it.
+    # count, which is fixed when the library loads, and on the LAPACK
+    # build the solver loaded; every log shows both.
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"OPENBLAS_NUM_THREADS={threads}, numpy {numpy.__version__}, scipy {scipy.__version__}"
+    return (f"OPENBLAS_NUM_THREADS={threads}, numpy {numpy.__version__}, scipy {scipy.__version__},"
+            f" LAPACK {sdp.lapack.__file__}")
 
 
 def pytest_report_header(config):

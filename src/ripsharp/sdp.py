@@ -12,18 +12,34 @@ the Schur complement is assembled explicitly and factored by Cholesky,
 which is the right trade for the small matrices this package produces.
 Programs, iterates and directions are packed svecs, all blocks side by side
 (:class:`_Layout`), so every symmetric quantity is symmetric by construction.
+LAPACK is scipy's f2py extension ``scipy.linalg._flapack``, whose routines
+``scipy.linalg.lapack`` re-exports; it is loaded from its file, because the
+``scipy.linalg`` package would nearly double every process's start-up time.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .linalg import smat, svec_dim, svec_indices, svec_side
+
+# Reuse the module if scipy.linalg is loaded already; find_spec imports nothing.
+_FLAPACK = "scipy.linalg._flapack"
+if _FLAPACK not in sys.modules:
+    _root = Path(importlib.util.find_spec("scipy").origin).parent
+    _spec = importlib.util.spec_from_file_location(
+        _FLAPACK, _root / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}")
+    sys.modules[_FLAPACK] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_FLAPACK])
+lapack = sys.modules[_FLAPACK]
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max-iterations"

@@ -587,9 +587,68 @@ def test_iteration_totals_within_budget(monkeypatch):
     assert len(counts) == 100 and sum(counts) <= 1014, sum(counts)
     # the thread count is fixed when OpenBLAS loads, so each run of the
     # certify pairs is a fresh interpreter
-    src = str(Path(ripsharp.__file__).resolve().parents[1])
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", CERTIFY_ITERATIONS], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        assert int(run.stdout) <= 147, (threads, run.stdout)
+        out = fresh_python(CERTIFY_ITERATIONS, OPENBLAS_NUM_THREADS=threads)
+        assert int(out) <= 147, (threads, out)
+
+
+SRC = str(Path(ripsharp.__file__).resolve().parents[1])
+
+
+def fresh_python(code: str, **env: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this ripsharp."""
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC, **env),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# Modules of scipy.linalg's import chain that loading LAPACK alone avoids.
+SCIPY_LINALG_CHAIN = ("scipy.linalg", "scipy._lib._util", "numpy.f2py", "numpy.testing")
+
+
+def test_solve_imports_no_scipy_linalg():
+    out = fresh_python(f"""
+import sys
+import ripsharp
+from ripsharp import cli
+assert ripsharp.delta_exact(*cli.draw_pair(4, 1, 0, 0)).status == "optimal"
+print([name for name in {SCIPY_LINALG_CHAIN!r} if name in sys.modules])
+""")
+    assert out.strip() == "[]"
+
+
+def test_scipy_linalg_imported_after_shares_lapack():
+    fresh_python("""
+import numpy as np
+import ripsharp
+import scipy.linalg
+assert scipy.linalg.lapack._flapack is ripsharp.sdp.lapack
+assert scipy.linalg.lapack.dpotrf is ripsharp.sdp.lapack.dpotrf
+a = np.array([[4.0, 1.0], [1.0, 3.0]])
+x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), np.array([1.0, 2.0]))
+assert np.allclose(a @ x, [1.0, 2.0])
+""")
+
+
+def test_scipy_linalg_imported_before_is_reused():
+    fresh_python("""
+import sys
+import scipy.linalg
+flapack = sys.modules["scipy.linalg._flapack"]
+import ripsharp
+from ripsharp import cli
+assert ripsharp.sdp.lapack is flapack and sys.modules["scipy.linalg._flapack"] is flapack
+assert ripsharp.delta_exact(*cli.draw_pair(4, 1, 0, 0)).status == "optimal"
+""")
+
+
+def test_missing_lapack_extension_names_its_path(tmp_path):
+    # a scipy without the extension: import fails naming the file, no fallback
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)]))
+    run = subprocess.run([sys.executable, "-c", "import ripsharp"], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode != 0
+    assert f"ImportError: {tmp_path / 'scipy' / 'linalg' / '_flapack'}" in run.stderr
