@@ -1,6 +1,7 @@
 """Pytest hooks shared by every test directory."""
 
 import os
+import resource
 
 import numpy
 import scipy
@@ -23,5 +24,9 @@ def pytest_report_header(config):
 
 def pytest_terminal_summary(terminalreporter, config):
     # -q drops the header, so a quiet log shows the settings at its end.
+    # The session's peak RSS (ru_maxrss is in KiB on Linux) goes next to
+    # them, so a log shows a memory regression; subprocesses are not counted.
     if config.get_verbosity() < 0:
         terminalreporter.write_line(_blas_settings())
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    terminalreporter.write_line(f"peak RSS of this session: {peak:.0f} MiB")

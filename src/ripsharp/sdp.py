@@ -12,6 +12,8 @@ the Schur complement is assembled explicitly and factored by Cholesky,
 which is the right trade for the small matrices this package produces.
 Programs, iterates and directions are packed svecs, all blocks side by side
 (:class:`_Layout`), so every symmetric quantity is symmetric by construction.
+:class:`_Scaling` allocates the solve's large buffers once and takes the
+congruence products in chunks, so a solve holds about 4x the packed program.
 LAPACK is scipy's f2py extension ``scipy.linalg._flapack``, whose routines
 ``scipy.linalg.lapack`` re-exports; it is loaded from its file, because the
 ``scipy.linalg`` package would nearly double every process's start-up time.
@@ -58,6 +60,8 @@ ITERATION_LIMIT = 200
 
 # Fraction-to-boundary factor for accepted steps.
 STEP_SHRINK = 0.98
+# Doubles per congruence-product chunk buffer (256 KB).
+_CHUNK = 1 << 15
 
 
 class ConeProgram:
@@ -148,7 +152,9 @@ class _Layout:
 
     def wides(self, a: np.ndarray) -> list[np.ndarray]:
         """Per block, its p coefficients side by side: the (k, p*k) array [F_1 ... F_p]."""
-        return [f.transpose(1, 0, 2).reshape(k, -1) for f, k in zip(self.blocks(a), self.sizes)]
+        # One block at a time: only one block's (p, k, k) stack is held twice.
+        return [smat(a[:, rows], k).transpose(1, 0, 2).reshape(k, -1)
+                for (rows, _), k in zip(self.gathers, self.sizes)]
 
     def smat(self, v: np.ndarray) -> np.ndarray:
         """The n x n block-diagonal matrix of a packed svec."""
@@ -165,28 +171,47 @@ _layout = lru_cache(maxsize=64)(_Layout)
 
 
 class _Scaling:
-    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam); LinAlgError unless S, Z are PD.
+    """NT scaling G^-1 S G^-T = G^T Z G = diag(lam) and the Schur complement it poses.
 
-    Factored block by block from the packed svecs s, z and rp into packed
-    arrays: ``ginv`` is the block-diagonal G^-1, column i of ``svecs`` the
-    packed svec of the lower triangle of G^-1 F_i G^-T and ``rp_hat`` that of
-    G^-1 rp G^-T (neither symmetrized), ``d`` = svec(D), D = diag(lam).  Per
-    svec entry (i, j), X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j)
-    solves (X D + D X)/2 = R, and ``unit`` = (lam_i lam_j)^-1/2 maps a step
-    to D^-1/2 step D^-1/2.  Per block, ``products`` holds two (k, p*k)
-    buffers, kept for the solve, that the congruence products overwrite.
+    One per solve: it unpacks the program once and allocates the solve's
+    large buffers once, and :meth:`factor` overwrites them at each iterate.
+    After ``factor(s, z, rp)`` on packed svecs, ``ginv`` is the
+    block-diagonal G^-1, column i of ``svecs`` the packed svec of the lower
+    triangle of G^-1 F_i G^-T and ``rp_hat`` that of G^-1 rp G^-T (neither
+    symmetrized), ``d`` = svec(D), D = diag(lam), ``schur`` = svecs^T svecs
+    and ``chol`` its lower Cholesky factor, in Fortran order.  Per svec
+    entry (i, j), X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j) solves
+    (X D + D X)/2 = R, and ``unit`` = (lam_i lam_j)^-1/2 maps a step to
+    D^-1/2 step D^-1/2.  The p congruences of a block of side k run in
+    chunks of ``_CHUNK // k**2`` variables through two buffers.
     """
 
-    __slots__ = ("lam", "ginv", "svecs", "rp_hat", "lyap", "unit", "d")
+    __slots__ = ("lay", "chunks", "svecs", "schur", "chol", "lam", "ginv", "rp_hat", "lyap",
+                 "unit", "d")
 
-    def __init__(self, lay: _Layout, wides: list[np.ndarray], products: list[tuple],
-                 s: np.ndarray, z: np.ndarray, rp: np.ndarray):
+    def __init__(self, lay: _Layout, a: np.ndarray):
+        # Unpacked first, while the buffers below do not yet add to its peak.
+        p, wides = a.shape[0], lay.wides(a)
+        self.lay, self.svecs = lay, np.empty((lay.w.size, p))
+        self.schur, self.chol = np.empty((p, p)), np.empty((p, p), order="F")
+        steps = [max(1, _CHUNK // (k * k)) for k in lay.sizes]
+        u, t = (np.empty(max(k * k * min(p, m) for k, m in zip(lay.sizes, steps))) for _ in "ut")
+        # Per block and chunk of variables i0:i1: [F_i0 ... F_i1-1], the two
+        # product buffers, and the columns of svecs that the chunk fills.
+        self.chunks = []
+        for wide, k, m, (rows, _) in zip(wides, lay.sizes, steps, lay.gathers):
+            spans = [(i0, min(i0 + m, p)) for i0 in range(0, p, m)]
+            self.chunks.append([(wide[:, i0 * k:i1 * k], u[:k * k * (i1 - i0)].reshape(k, -1),
+                                 t[:k * k * (i1 - i0)].reshape(k, -1), self.svecs[rows, i0:i1])
+                                for i0, i1 in spans])
+
+    def factor(self, s: np.ndarray, z: np.ndarray, rp: np.ndarray) -> None:
+        """Scale at (s, z, rp); LinAlgError unless S, Z and the Schur complement are PD."""
+        lay = self.lay
         self.lam = np.empty(lay.n)
         self.ginv = np.zeros((lay.n, lay.n))
-        self.svecs = np.empty((lay.w.size, wides[0].shape[1] // lay.sizes[0]))
         s_full, z_full = lay.smat(s), lay.smat(z)
-        blocks = zip(wides, products, lay.sizes, lay.offsets, lay.gathers)
-        for wide, (u, t), k, off, (rows, lower) in blocks:
+        for chunks, k, off, (_, lower) in zip(self.chunks, lay.sizes, lay.offsets, lay.gathers):
             sub = slice(off, off + k)
             ls, info = lapack.dpotrf(s_full[sub, sub], lower=1)
             if info != 0:
@@ -198,13 +223,14 @@ class _Scaling:
             if info != 0 or evals[0] <= 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
             ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
-            # All p congruences in two products: G^-1 [F_1 ... F_p] as rows
+            # A chunk's congruences in two products: G^-1 [F_i0 ...] as rows
             # (a, i), then G^-1 times its transpose gives t[c, a, i] =
             # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
             # Gathered while t is still in cache.
-            np.matmul(ginv, wide, out=u)
-            np.matmul(ginv, u.reshape(-1, k).T, out=t)
-            np.take(t.reshape(k * k, -1), lower, axis=0, out=self.svecs[rows], mode="clip")
+            for wide, u, t, out in chunks:
+                np.matmul(ginv, wide, out=u)
+                np.matmul(ginv, u.reshape(-1, k).T, out=t)
+                np.take(t.reshape(k * k, -1), lower, axis=0, out=out, mode="clip")
             self.lam[sub] = np.sqrt(evals)
             self.ginv[sub, sub] = ginv
         self.svecs *= lay.w[:, None]
@@ -212,6 +238,7 @@ class _Scaling:
         lam_i, lam_j = self.lam[lay.i], self.lam[lay.j]
         self.lyap, self.unit = 2.0 / (lam_i + lam_j), 1.0 / np.sqrt(lam_i * lam_j)
         self.d = lay.eye * lam_i
+        _robust_cholesky(np.matmul(self.svecs.T, self.svecs, out=self.schur), self.chol)
 
 
 def _residuals(lay, prog, y, s, z, f_scale, c_scale):
@@ -252,8 +279,7 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         raise ValueError(f"y0 must be a finite vector of length {p}")
 
     lay = _layout(prog.block_sizes)
-    wides = lay.wides(prog.a)
-    products = [(np.empty_like(wide), np.empty_like(wide)) for wide in wides]
+    sc = _Scaling(lay, prog.a)
     s = prog.f0 + y @ prog.a
     for (rows, _), s_k in zip(lay.gathers, lay.blocks(s)):
         evals = np.linalg.eigvalsh(s_k)
@@ -284,22 +310,20 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
             floor, floor_dinf = (y, s, z), dinf
 
         try:
-            sc = _Scaling(lay, wides, products, s, z, rp)
-            schur = sc.svecs.T @ sc.svecs
-            newton = (sc, schur, _robust_cholesky(schur), rd)
+            sc.factor(s, z, rp)
         except np.linalg.LinAlgError:
             status = STEP_FAILURE
             break
 
         # Predictor: aim at mu = 0.
-        _, ds_aff, dz_aff = _direction(*newton, -(sc.d**2))
+        _, ds_aff, dz_aff = _direction(sc, rd, -(sc.d**2))
         ap_aff, ad_aff = (min(1.0, t) for t in _max_steps(lay, sc.unit, ds_aff, dz_aff))
         gap_aff = float((sc.d + ap_aff * ds_aff) @ (sc.d + ad_aff * dz_aff))
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 2, 1e-10, 1.0))
 
         # Corrector: recenter and cancel the second-order term.
         cross = lay.svec(lay.smat(ds_aff) @ lay.smat(dz_aff))
-        dy, ds, dz = _direction(*newton, sigma * mu * lay.eye - sc.d**2 - cross)
+        dy, ds, dz = _direction(sc, rd, sigma * mu * lay.eye - sc.d**2 - cross)
         ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(lay, sc.unit, ds, dz))
         # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
         # Out of place: the floor iterate keeps references to y, s and z.
@@ -325,13 +349,13 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     )
 
 
-def _direction(sc, schur, schur_chol, rd, rc):
+def _direction(sc, rd, rc):
     """Newton solve for packed centering rc: dy, svec(G^-1 dS G^-T), svec(G^T dZ G)."""
     x = sc.lyap * rc
     rhs = sc.svecs.T @ (x - sc.rp_hat) - rd
-    dy = lapack.dpotrs(schur_chol, rhs, lower=1)[0]
+    dy = lapack.dpotrs(sc.chol, rhs, lower=1)[0]
     # One round of iterative refinement keeps late iterations accurate.
-    dy += lapack.dpotrs(schur_chol, rhs - schur @ dy, lower=1)[0]
+    dy += lapack.dpotrs(sc.chol, rhs - sc.schur @ dy, lower=1)[0]
     ds = sc.svecs @ dy + sc.rp_hat
     return dy, ds, x - ds
 
@@ -353,17 +377,18 @@ def _max_steps(lay, unit, ds, dz) -> tuple[float, float]:
     return steps[0], steps[1]
 
 
-def _robust_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of m, retried with growing diagonal jitter if needed."""
-    chol, info = lapack.dpotrf(m, lower=1)
-    if info == 0:
-        return chol
+def _robust_cholesky(m: np.ndarray, out: np.ndarray) -> None:
+    """Lower Cholesky factor of m, factored in place in the Fortran-ordered out and
+    retried with growing diagonal jitter if needed.  m must be exactly symmetric, as
+    numpy's SYRK leaves it: it is copied into the transpose of out, contiguously."""
+    out.T[...] = m
+    if lapack.dpotrf(out, lower=1, overwrite_a=1)[1] == 0:
+        return
     jitter = 1e-14 * max(float(np.trace(m)) / max(m.shape[0], 1), 1.0)
-    shifted, diag = m.copy(), np.diag(m)
     for _ in range(3):
-        np.fill_diagonal(shifted, diag + jitter)
-        chol, info = lapack.dpotrf(shifted, lower=1)
-        if info == 0:
-            return chol
+        out.T[...] = m
+        np.fill_diagonal(out, np.diag(m) + jitter)
+        if lapack.dpotrf(out, lower=1, overwrite_a=1)[1] == 0:
+            return
         jitter *= 10.0
     raise np.linalg.LinAlgError("Schur complement not positive definite")

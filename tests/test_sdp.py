@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,36 +368,51 @@ def test_max_step_with_shared_eigenvalue():
                 assert abs(step - min(refs)) <= 1e-10 * min(refs), (step, refs)
 
 
-def random_iterates(rng, prog, fill=np.empty_like):
+def random_iterates(rng, prog, fill=None):
     # a random interior iterate of prog with nonzero residuals, as packed
-    # svecs, and its scaling, whose product buffers fill allocates
+    # svecs, and its scaling, whose buffers start as fill if it is given
     lay = sdp._layout(prog.block_sizes)
     y = rng.standard_normal(prog.num_vars)
     s, z = (np.concatenate([svec(random_pd_matrix(rng, k)) for k in lay.sizes]) for _ in "sz")
     rp, rd = sdp._residuals(lay, prog, y, s, z, 1.0, 1.0)[:2]
-    wides = lay.wides(prog.a)
-    products = [(fill(wide), fill(wide)) for wide in wides]
-    return lay, rp, rd, sdp._Scaling(lay, wides, products, s, z, rp)
+    sc = sdp._Scaling(lay, prog.a)
+    if fill is not None:
+        for buffer in work_buffers(sc):
+            buffer.fill(fill)
+    sc.factor(s, z, rp)
+    return lay, rp, rd, sc
+
+
+def work_buffers(sc):
+    # the arrays every factor call overwrites: the two flat buffers that
+    # every chunk's products take views of, svecs, the Schur matrix and its factor
+    _, u, t, _ = sc.chunks[0][0]
+    assert all(np.shares_memory(u, cu) and np.shares_memory(t, ct)
+               for chunks in sc.chunks for _, cu, ct, _ in chunks)
+    return [u.base, t.base, sc.svecs, sc.schur, sc.chol]
 
 
 def random_direction(rng, lay, rd, sc):
     # the Newton direction of a random packed centering term
-    schur = sc.svecs.T @ sc.svecs
     rc = np.concatenate([svec(random_sym(rng, k)) for k in lay.sizes])
-    return sdp._direction(sc, schur, sdp._robust_cholesky(schur), rd, rc)
+    return sdp._direction(sc, rd, rc)
+
+
+def delta_program(n, r):
+    # the delta program of the (n, r) pair of default_rng((0, 0)), x then z
+    rng = default_rng((0, 0))
+    return lmi.build_upper_lmi(lmi.reduce(rng.standard_normal((n, r)),
+                                          rng.standard_normal((n, r)))).cone
 
 
 def kernel_programs():
     # random_cone_program(0..9) and one (6, 3) delta program, blocks (15, 21, 21)
-    progs = [random_cone_program(seed) for seed in range(10)]
-    rng = default_rng((0, 0))
-    pair = lmi.reduce(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
-    return progs + [lmi.build_upper_lmi(pair).cone]
+    return [random_cone_program(seed) for seed in range(10)] + [delta_program(6, 3)]
 
 
 def test_scaled_rows_match_per_coefficient_loop():
-    # two products and one gather give every column the svec of the lower
-    # triangle of G^-1 F_i G^-T
+    # the chunked products and their gathers give every column the svec of
+    # the lower triangle of G^-1 F_i G^-T, and the Schur matrix is svecs^T svecs
     rng = default_rng(16)
     for prog in kernel_programs():
         lay, _, _, sc = random_iterates(rng, prog)
@@ -405,39 +421,88 @@ def test_scaled_rows_match_per_coefficient_loop():
             ref = np.array([svec(ginv @ f @ ginv.T) for f in coeffs]).T
             err = np.linalg.norm(sc.svecs[rows] - ref)
             assert err <= 1e-13 * np.linalg.norm(ref), (prog.block_sizes, err)
+        assert np.array_equal(sc.schur, sc.svecs.T @ sc.svecs)
 
 
 def test_product_buffers_are_overwritten():
-    # the two congruence products write every entry of their buffers, so a
-    # scaling whose buffers start as NaN equals one whose buffers start as zeros
-    buffers = []
-
-    def nan_buffer(wide):
-        buffers.append(np.full_like(wide, np.nan))
-        return buffers[-1]
-
+    # a scaling writes every entry of its buffers before it reads them, so
+    # one whose buffers start as NaN equals one whose buffers start as zeros
     for seed, prog in enumerate(kernel_programs()):
-        buffers.clear()
-        nan = random_iterates(default_rng(seed), prog, nan_buffer)[3]
-        zero = random_iterates(default_rng(seed), prog, np.zeros_like)[3]
-        assert not any(np.isnan(b).any() for b in buffers), seed
-        for name in ("svecs", "rp_hat", "lam", "ginv"):
+        nan = random_iterates(default_rng(seed), prog, np.nan)[3]
+        zero = random_iterates(default_rng(seed), prog, 0.0)[3]
+        assert not any(np.isnan(b).any() for b in work_buffers(nan)), seed
+        for name in ("svecs", "rp_hat", "lam", "ginv", "schur", "chol"):
             assert np.array_equal(getattr(nan, name), getattr(zero, name)), (seed, name)
 
 
 def test_product_buffers_kept_for_the_solve(monkeypatch):
-    # every scaling of one solve writes its products into the same buffers
-    seen, scaling = [], sdp._Scaling
+    # every scaling of one solve reuses the same chunk, svec, Schur and factor
+    # buffers, and dpotrf factors the Schur matrix in place, in the factor buffer
+    seen, factor = [], sdp._Scaling.factor
 
-    def record(lay, wides, products, *rest):
-        seen.append(products)
-        return scaling(lay, wides, products, *rest)
+    def record(sc, *args):
+        factor(sc, *args)
+        seen.append((work_buffers(sc), sc.schur.copy(), sc.chol.copy()))
 
-    monkeypatch.setattr(sdp, "_Scaling", record)
+    monkeypatch.setattr(sdp._Scaling, "factor", record)
     assert solve(kernel_programs()[-1]).status == OPTIMAL
     assert len(seen) >= 2
-    for first, last in zip(seen[0], seen[-1]):
-        assert all(np.shares_memory(a, b) for a, b in zip(first, last))
+    for buffers, _, _ in seen:
+        assert all(np.shares_memory(a, b) for a, b in zip(seen[0][0], buffers))
+        assert buffers[-1].flags.f_contiguous
+    for _, schur, chol in seen:
+        factor_rows = np.tril(chol)
+        err = np.linalg.norm(factor_rows @ factor_rows.T - schur)
+        assert err <= 1e-12 * np.linalg.norm(schur), err
+
+
+def test_chunk_boundaries_do_not_move_the_solve(monkeypatch):
+    # chunks of a few variables, the last one ragged, solve every program as
+    # the default chunks do: same status and iterations, delta within 1e-12
+    progs = [delta_program(6, 3), delta_program(5, 2)]
+    base = [solve(prog) for prog in progs]
+    monkeypatch.setattr(sdp, "_CHUNK", 2000)
+    for prog, ref in zip(progs, base):
+        sc = sdp._Scaling(sdp._layout(prog.block_sizes), prog.a)
+        for chunks, k in zip(sc.chunks, prog.block_sizes):
+            widths = [out.shape[1] for *_, out in chunks]
+            assert len(chunks) > 1 and widths[-1] < widths[0] == 2000 // (k * k), widths
+            assert sum(widths) == prog.num_vars
+        res = solve(prog)
+        assert res.status == ref.status == OPTIMAL and res.iterations == ref.iterations
+        assert abs(res.y[0] - ref.y[0]) <= 1e-12, (prog.block_sizes, res.y[0] - ref.y[0])
+
+
+def test_solve_memory_bounded_by_program():
+    # the solve holds the unpacked program, svecs and the Schur buffers, and
+    # the congruence products only a chunk at a time: its traced peak stays
+    # within 6x the packed coefficients (10.1x and 10.2x with whole products)
+    for n, r in ((6, 3), (8, 4)):
+        prog = delta_program(n, r)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert solve(prog).status == OPTIMAL
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * prog.a.nbytes, ((n, r), peak / prog.a.nbytes)
+
+
+def test_schur_cholesky_retries_with_jitter():
+    # a singular PSD Schur matrix fails the first dpotrf and is factored in
+    # place with diagonal jitter, each retry starting from the unfactored
+    # matrix, which stays as it was; an indefinite one fails every retry
+    v = np.array([[1.0, 2.0, 3.0]])
+    schur = v.T @ v
+    keep, out = schur.copy(), np.empty((3, 3), order="F")
+    sdp._robust_cholesky(schur, out)
+    low = np.tril(out)
+    assert np.array_equal(schur, keep)
+    assert 0.0 < np.diag(low @ low.T - schur).min() and np.abs(low @ low.T - schur).max() <= 1e-11
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._robust_cholesky(-np.eye(3), out)
 
 
 def test_step_lengths_match_each_block():
@@ -494,11 +559,10 @@ def test_scaling_rejects_non_pd_dual():
     size = lay.n
     indefinite = np.eye(size)
     indefinite[0, 0] = -1e-3
-    wides = lay.wides(prog.a)
-    products = [(np.empty_like(wide), np.empty_like(wide)) for wide in wides]
+    sc = sdp._Scaling(lay, prog.a)
     for z in (indefinite, np.zeros((size, size))):
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._Scaling(lay, wides, products, svec(np.eye(size)), svec(z), np.zeros(lay.w.size))
+            sc.factor(svec(np.eye(size)), svec(z), np.zeros(lay.w.size))
 
 
 def test_contractions_match_reference_forms():
