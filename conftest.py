@@ -2,6 +2,7 @@
 
 import os
 import resource
+from pathlib import Path
 
 import numpy
 import scipy
@@ -26,7 +27,11 @@ def pytest_terminal_summary(terminalreporter, config):
     # -q drops the header, so a quiet log shows the settings at its end.
     # The session's peak RSS (ru_maxrss is in KiB on Linux) goes next to
     # them, so a log shows a memory regression; subprocesses are not counted.
+    # So does the line count of the library's source, as wc -l counts it,
+    # so a log shows the source against its line budget.
     if config.get_verbosity() < 0:
         terminalreporter.write_line(_blas_settings())
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    terminalreporter.write_line(f"peak RSS of this session: {peak:.0f} MiB")
+    src = Path(__file__).parent / "src"
+    lines = sum(p.read_bytes().count(b"\n") for p in src.rglob("*.py"))
+    terminalreporter.write_line(f"peak RSS of this session: {peak:.0f} MiB; src/ has {lines} lines")

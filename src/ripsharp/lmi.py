@@ -17,9 +17,12 @@ rule ``B (M - I) B^T + I`` (``M`` on the span of the orthonormal columns
 of ``B``, the identity off it).  So the programs are posed on ``H'`` of
 side ``d(d+1)/2``: ``solve_lmi`` extends ``H'`` with ``B = Q``, and
 ``verify_certificates`` and ``recover_minimizer`` extend ``H`` with
-``B = P kron P``.  The stationarity
-condition ``J'^T H' e' = 0`` (``J' = Q^T J``, ``e' = Q^T e``) is a set of
-linear rows on ``svec(H')``; each program is built in coordinates of
+``B = P kron P``.  In these coordinates (``J' = Q^T J``, ``e' = Q^T e``)
+the criticality maps are ``objective``'s: ``stationarity_rows``, the Hessian
+form ``curvature_form`` and its adjoint ``curvature_adjoint``, which the dual
+equation reads; ``verify_certificates`` projects its vec-frame J, e and H
+through Q to call them.  The stationarity condition ``J'^T H' e' = 0`` is a
+set of linear rows on ``svec(H')``; each program is built in coordinates of
 their null space, ``svec(H') = N w`` for an orthonormal basis ``N``, so
 every iterate is exactly stationary and every PSD block is affine in the
 cone variables ``y = (delta, w)``.  Every rank decision (the joint span,
@@ -55,7 +58,8 @@ import numpy as np
 from .errors import NotSpuriousError
 from .linalg import RANK_RTOL, as_factor, coincident, factor_gram, orth_complement, smat, svec
 from .linalg import pow2_rescale, svec_dim, svec_side, sym, sym_basis, vec
-from .objective import MeasurementOperator, curvature_form, jacobian_mat
+from .objective import MeasurementOperator, curvature_adjoint, curvature_form, jacobian_mat
+from .objective import stationarity_rows
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
 from .sdp import OPTIMAL as STATUS_OPTIMAL
 from .sdp import STEP_FAILURE as STATUS_STEP_FAILURE
@@ -212,8 +216,8 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     the complement of their span, from :func:`orth_complement`.  The
     program is written packed: the gram blocks' svec rows for ``w`` are
     ``N^T`` itself, as the columns of ``N`` are svec(H') coordinates, and
-    the curvature block's are the svecs of the Hessian form of the stack
-    ``smat(N^T)``, restricted to the face ``K``.  The curvature block is
+    the curvature block's are the svecs of :func:`objective.curvature_form` of
+    the stack ``smat(N^T)``, restricted to the face ``K``.  The curvature block is
     zero, and dropped, when ``x`` and ``z`` are collinear and the null
     space is empty.
     """
@@ -231,15 +235,9 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     jac = q.T @ jacobian_mat(x)
     evec = svec(x @ x.T - z @ z.T)
     dim_h = svec_dim(m)
-    basis = orth_complement(_stationarity_rows(jac, evec).T)
-    stack = smat(basis.T, dim_h)
-    # The Hessian form 2 I_r kron smat(H' e') + J'^T H' J', on the face.
-    curvature = jac.T @ stack @ jac
-    half = smat(stack @ evec, m)
-    for j in range(r):
-        curvature[:, j * m : (j + 1) * m, j * m : (j + 1) * m] += 2.0 * half
+    basis = orth_complement(stationarity_rows(jac, evec).T)
     face = _face(x)
-    curvature = face.T @ curvature @ face
+    curvature = face.T @ curvature_form(jac, evec, smat(basis.T, dim_h), r) @ face
     # Symmetrized before packing: the products above are symmetric only to rounding.
     curv_rows = svec(0.5 * (curvature + curvature.transpose(0, 2, 1)))
     eye = svec(np.eye(dim_h))
@@ -307,7 +305,7 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
         y=c**3 * _recover_multiplier(prob, v, by_role),
         u1=q @ by_role["gram-lower"] @ q.T,
         u2=q @ by_role["gram-upper"] @ q.T,
-        v=c**2 * sym(v),
+        v=c**2 * v,
     )
     status = res.status
     if status == STATUS_OPTIMAL and delta_raw >= 1.0 - 1e-6:
@@ -370,8 +368,11 @@ def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateRe
             jac_d, evec_d = jac, evec
         hb = _extend(h, bb)
         gram_eigs = np.linalg.eigvalsh(sym(hb))
-        curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac, evec, hb, r)))
-        checks[prefix + "stationarity"] = float(np.abs(jac.T @ (hb @ evec)).max())
+        # The criticality maps see only H' = Q^T H Q, in svec coordinates.
+        q = sym_basis(x.shape[0])
+        jac_s, evec_s, h_s = q.T @ jac, q.T @ evec, q.T @ hb @ q
+        curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac_s, evec_s, h_s, r)))
+        checks[prefix + "stationarity"] = float(np.abs(jac_s.T @ (h_s @ evec_s)).max())
         checks[prefix + "curvature-psd"] = max(0.0, -float(curv_eigs[0]))
         checks[prefix + "gram-lower"] = max(0.0, (1.0 - delta) - float(gram_eigs[0]))
         checks[prefix + "gram-upper"] = max(0.0, float(gram_eigs[-1]) - (1.0 + delta))
@@ -379,22 +380,17 @@ def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateRe
             continue
         y, v = ib @ dual.y, sym(ib @ dual.v @ ib.T)
         u1, u2 = sym(bb @ dual.u1 @ bb.T), sym(bb @ dual.u2 @ bb.T)
-        s = r * (jac @ y) - vec(_block_trace(v, r))
-        lhs = np.outer(s, evec) + np.outer(evec, s) - jac @ v @ jac.T
+        # 2r times the stationarity rows' adjoint at y, less the curvature form's at V.
+        rows = stationarity_rows(jac_s, evec_s)
+        lhs = 2.0 * r * smat(rows.T @ y) - curvature_adjoint(jac_s, evec_s, v, r)
         checks[prefix + "dual-trace"] = abs(float(np.trace(u1) + np.trace(u2)) - 1.0)
-        checks[prefix + "dual-equation"] = float(np.abs(lhs - (u1 - u2)).max())
+        checks[prefix + "dual-equation"] = float(np.abs(q @ lhs @ q.T - (u1 - u2)).max())
         for name, m in (("curvature", v), ("gram-lower", u1), ("gram-upper", u2)):
             floor = float(np.linalg.eigvalsh(m)[0])
             checks[f"{prefix}dual-{name}-psd"] = max(0.0, -floor)
     gap = None if dual is None else delta - float(np.trace(dual.u1) - np.trace(dual.u2))
     sizes = [] if dual is None else [np.linalg.norm(m) for m in (dual.y, dual.u1, dual.u2, dual.v)]
     return CertificateReport(checks, gap, float(max(1.0, *sizes, np.linalg.norm(evec_d))))
-
-
-def _block_trace(v: np.ndarray, r: int) -> np.ndarray:
-    """Sum of the ``r`` diagonal blocks of ``V``: the partial trace over I_r."""
-    side = v.shape[0] // r
-    return sum(v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r))
 
 
 def _extend(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -416,12 +412,6 @@ def _face(x: np.ndarray) -> np.ndarray:
     return orth_complement(tangents)
 
 
-def _stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
-    """Rows r_k with r_k . svec(H) = (jac^T H evec)_k."""
-    outers = jac.T[:, :, None] * evec[None, None, :]
-    return svec(0.5 * (outers + outers.transpose(0, 2, 1)))
-
-
 def _recover_multiplier(
     prob: LmiProblem, v: np.ndarray, by_role: dict[str, np.ndarray]
 ) -> np.ndarray:
@@ -433,9 +423,6 @@ def _recover_multiplier(
     svec coordinates of ``H'``, for the scaled factors of the program.
     """
     jac, evec, r = prob.jac, prob.evec, prob.factor_rank
-    t = svec(_block_trace(v, r))
-    g = -(np.outer(t, evec) + np.outer(evec, t)) - jac @ v @ jac.T
-    g -= by_role["gram-lower"] - by_role["gram-upper"]
-    rows = _stationarity_rows(jac, evec)
-    w, *_ = np.linalg.lstsq(rows.T, svec(sym(g)), rcond=None)
+    g = -curvature_adjoint(jac, evec, v, r) - (by_role["gram-lower"] - by_role["gram-upper"])
+    w, *_ = np.linalg.lstsq(stationarity_rows(jac, evec).T, svec(sym(g)), rcond=None)
     return -w / (2.0 * r)

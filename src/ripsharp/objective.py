@@ -5,6 +5,11 @@ symmetric matrix to the vector of inner products with the measurement
 matrices and ``c`` is 1/2 or 1.  Gradient and Hessian are reported with
 respect to the factor ``X`` (an n x r matrix); the Hessian is the
 ``nr x nr`` matrix of the quadratic form on ``vec(U)``.
+
+The criticality conditions under ``H = A^T A`` see only ``H' = Q^T H Q``
+(``Q = sym_basis(n)``), so they are written once, here, in svec coordinates
+``J' = Q^T J``, ``e' = svec(x x^T - z z^T)``: the stationarity rows, the
+Hessian form and its adjoint, for ``evaluate`` and every program of ``lmi``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_factor, mat, sym, vec
+from .linalg import as_factor, mat, smat, svec, sym, sym_basis, vec
 
 
 @dataclass
@@ -132,35 +137,40 @@ def jacobian_mat(x: np.ndarray) -> np.ndarray:
     return ux + ux.reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
 
 
-def curvature_form(
-    jac: np.ndarray, evec: np.ndarray, h: np.ndarray, r: int
-) -> np.ndarray:
-    """``2 I_r kron sym(mat(H e)) + J^T H J`` for a gram matrix or a stack.
+def stationarity_rows(jac: np.ndarray, evec: np.ndarray) -> np.ndarray:
+    """Rows r_k with r_k . svec(H') = (jac^T H' evec)_k: the gradient, linear in H'."""
+    outers = jac.T[:, :, None] * evec[None, None, :]
+    return svec(0.5 * (outers + outers.transpose(0, 2, 1)))
 
-    With ``J = jacobian_mat(x)``, ``e`` the lifted residual and
-    ``H = A^T A``, this is the Hessian of ``f / (2c)`` on ``vec(U)``.
-    ``h`` may be one ``n^2 x n^2`` matrix or a ``(..., n^2, n^2)`` stack.
-    """
-    h = np.asarray(h, dtype=float)
+
+def curvature_form(jac: np.ndarray, evec: np.ndarray, h: np.ndarray, r: int) -> np.ndarray:
+    """``jac^T H' jac + 2 I_r kron smat(H' evec)`` for one H' or a (..., D, D) stack: the
+    Hessian of ``f / (2c)`` on ``vec(U)``, ``J^T H J + 2 I_r kron sym(mat(H e))``."""
     side = jac.shape[1] // r
-    he = (h @ evec).reshape(h.shape[:-2] + (side, side))
-    half = 0.5 * (he + np.swapaxes(he, -1, -2))
     out = jac.T @ h @ jac
+    half = smat(h @ evec, side)
     for j in range(r):
         out[..., j * side : (j + 1) * side, j * side : (j + 1) * side] += 2.0 * half
     return out
 
 
-def evaluate(
-    inst: RecoveryInstance, x: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective value, gradient (n x r) and Hessian (nr x nr) at ``x``."""
+def curvature_adjoint(jac: np.ndarray, evec: np.ndarray, v: np.ndarray, r: int) -> np.ndarray:
+    """Adjoint of :func:`curvature_form` in H': ``jac V jac^T + t evec^T + evec t^T``, with
+    ``t`` the svec of the sum of the r diagonal blocks of V (symmetric H' and V)."""
+    side = v.shape[0] // r
+    t = svec(sum(v[j * side : (j + 1) * side, j * side : (j + 1) * side] for j in range(r)))
+    return np.outer(t, evec) + np.outer(evec, t) + jac @ v @ jac.T
+
+
+def evaluate(inst: RecoveryInstance, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective value, gradient (n x r) and Hessian (nr x nr) at ``x``, from H' = Q^T H Q."""
     x = as_factor(x, "candidate", inst.z.shape)
     n, r = x.shape
     c = inst.scale
-    h = inst.operator.gram
-    e = residual_vec(inst, x)
-    jac = jacobian_mat(x)
+    q = sym_basis(n)
+    h = q.T @ inst.operator.gram @ q
+    e = svec(x @ x.T - inst.z @ inst.z.T)
+    jac = q.T @ jacobian_mat(x)
     he = h @ e
     f = c * float(e @ he)
     grad = 2.0 * c * mat(jac.T @ he, (n, r))

@@ -194,6 +194,8 @@ class _Scaling:
         p, wides = a.shape[0], lay.wides(a)
         self.lay, self.svecs = lay, np.empty((lay.w.size, p))
         self.schur, self.chol = np.empty((p, p)), np.empty((p, p), order="F")
+        # factor writes only the diagonal blocks of ginv: its off-block zeros stay.
+        self.lam, self.ginv = np.empty(lay.n), np.zeros((lay.n, lay.n))
         steps = [max(1, _CHUNK // (k * k)) for k in lay.sizes]
         u, t = (np.empty(max(k * k * min(p, m) for k, m in zip(lay.sizes, steps))) for _ in "ut")
         # Per block and chunk of variables i0:i1: [F_i0 ... F_i1-1], the two
@@ -208,8 +210,6 @@ class _Scaling:
     def factor(self, s: np.ndarray, z: np.ndarray, rp: np.ndarray) -> None:
         """Scale at (s, z, rp); LinAlgError unless S, Z and the Schur complement are PD."""
         lay = self.lay
-        self.lam = np.empty(lay.n)
-        self.ginv = np.zeros((lay.n, lay.n))
         s_full, z_full = lay.smat(s), lay.smat(z)
         for chunks, k, off, (_, lower) in zip(self.chunks, lay.sizes, lay.offsets, lay.gathers):
             sub = slice(off, off + k)

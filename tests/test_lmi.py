@@ -22,7 +22,7 @@ from ripsharp.lmi import (
     solve_lmi,
     verify_certificates,
 )
-from ripsharp.objective import curvature_form, jacobian_mat
+from ripsharp.objective import jacobian_mat
 
 # frozen from an independent convex-programming solver
 SHARP_DELTA = 0.49999999999643974
@@ -321,6 +321,13 @@ def _skew_tangents(x):
     return np.array(out).reshape(-1, x.size)
 
 
+def _vec_curvature(jac, e, h, r):
+    """The Hessian form ``2 I_r kron sym(mat(H e)) + J^T H J`` of one vec-coordinate H,
+    from its definition: a reference independent of the svec-frame kernel in objective."""
+    n = jac.shape[1] // r
+    return 2.0 * np.kron(np.eye(r), sym(mat(h @ e, (n, n)))) + jac.T @ h @ jac
+
+
 def _explicit_blocks(prob, x, z, delta, h):
     """Every block of the program written out from its definition.
 
@@ -335,7 +342,7 @@ def _explicit_blocks(prob, x, z, delta, h):
     h_vec = q @ h @ q.T
     jac = jacobian_mat(x)
     e = vec(x @ x.T - z @ z.T)
-    curvature = 2.0 * np.kron(np.eye(r), sym(mat(h_vec @ e, (n, n)))) + jac.T @ h_vec @ jac
+    curvature = _vec_curvature(jac, e, h_vec, r)
     eye = np.eye(prob.dim_h)
     return {
         "curvature": prob.face.T @ curvature @ prob.face,
@@ -380,7 +387,8 @@ def test_curvature_face_drops_rotation_null_space(lower, shape):
     r = x.shape[1]
     tangents = _skew_tangents(x)
     # before reduction, every coefficient annihilates every vec(x Omega)
-    coeffs = curvature_form(jacobian_mat(x), vec(x @ x.T - z @ z.T), _vec_stack(prob, x), r)
+    jac, e = jacobian_mat(x), vec(x @ x.T - z @ z.T)
+    coeffs = [_vec_curvature(jac, e, h, r) for h in _vec_stack(prob, x)]
     for coeff in coeffs:
         assert np.abs(coeff @ tangents.T).max() <= 1e-12 * np.abs(coeff).max()
     # the face is an orthonormal basis of their complement
@@ -415,8 +423,9 @@ def vec_program(pair):
     basis = orth_complement(rows.T)
     stack = smat(basis.T, m)
     eye = np.eye(m)
+    curvature = np.array([np.zeros((q, q))] + [_vec_curvature(jac, e, h, r) for h in stack])
     blocks = [
-        (np.zeros((q, q)), np.concatenate([np.zeros((1, q, q)), curvature_form(jac, e, stack, r)])),
+        (np.zeros((q, q)), curvature),
         (-eye, np.concatenate([eye[None], stack])),
         (eye, np.concatenate([eye[None], -stack])),
     ]

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from ripsharp.linalg import vec
+from ripsharp.linalg import mat, svec, svec_dim, sym, sym_basis, vec
 from ripsharp.objective import (
     MeasurementOperator,
     RecoveryInstance,
     criticality_certificate,
+    curvature_adjoint,
+    curvature_form,
     evaluate,
     jacobian_mat,
     residual_vec,
@@ -69,6 +71,35 @@ def test_hessian_matches_finite_differences(seed, n, r):
     approx = fd_hessian(inst, x)
     rel = np.linalg.norm(hess - approx) / max(1.0, np.linalg.norm(hess))
     assert rel <= 1e-4
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (4, 2), (6, 3)])
+def test_curvature_form_and_adjoint_are_adjoint(n, r):
+    # <C(H'), V> = <H', C*(V)> for random symmetric H' and V, in svec coordinates
+    rng = np.random.default_rng(n)
+    x, z = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    jac, evec = sym_basis(n).T @ jacobian_mat(x), svec(x @ x.T - z @ z.T)
+    h = sym(rng.standard_normal((svec_dim(n),) * 2))
+    v = sym(rng.standard_normal((n * r, n * r)))
+    lhs = float(np.sum(curvature_form(jac, evec, h, r) * v))
+    rhs = float(np.sum(h * curvature_adjoint(jac, evec, v, r)))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (lhs, rhs)
+
+
+@pytest.mark.parametrize("seed,n,r", [(8, 3, 1), (9, 5, 2)])
+def test_evaluate_matches_vec_frame_formulas(seed, n, r):
+    # gradient 2c J^T H e and Hessian 2c (J^T H J + 2 I_r kron sym(mat(H e))),
+    # written out in vec coordinates with the n^2 x n^2 gram matrix H
+    inst, rng = random_instance(seed, n, r)
+    x = rng.standard_normal((n, r))
+    c, h = inst.scale, inst.operator.gram
+    jac, e = jacobian_mat(x), residual_vec(inst, x)
+    grad = 2.0 * c * mat(jac.T @ h @ e, (n, r))
+    hess = 2.0 * c * (jac.T @ h @ jac + 2.0 * np.kron(np.eye(r), sym(mat(h @ e, (n, n)))))
+    f, got_grad, got_hess = evaluate(inst, x)
+    assert abs(f - c * float(e @ h @ e)) <= 1e-12 * f
+    assert np.linalg.norm(got_grad - grad) <= 1e-12 * np.linalg.norm(grad)
+    assert np.linalg.norm(got_hess - sym(hess)) <= 1e-12 * np.linalg.norm(hess)
 
 
 def test_residual_and_value_consistent():

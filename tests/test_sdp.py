@@ -436,21 +436,28 @@ def test_product_buffers_are_overwritten():
 
 
 def test_product_buffers_kept_for_the_solve(monkeypatch):
-    # every scaling of one solve reuses the same chunk, svec, Schur and factor
-    # buffers, and dpotrf factors the Schur matrix in place, in the factor buffer
+    # every scaling of one solve reuses the same lam, G^-1, chunk, svec, Schur
+    # and factor buffers, G^-1 stays zero off its diagonal blocks, and dpotrf
+    # factors the Schur matrix in place, in the factor buffer
     seen, factor = [], sdp._Scaling.factor
 
     def record(sc, *args):
         factor(sc, *args)
-        seen.append((work_buffers(sc), sc.schur.copy(), sc.chol.copy()))
+        seen.append(([sc.lam, sc.ginv] + work_buffers(sc), sc.schur.copy(), sc.chol.copy(),
+                     sc.ginv.copy()))
 
     monkeypatch.setattr(sdp._Scaling, "factor", record)
-    assert solve(kernel_programs()[-1]).status == OPTIMAL
+    prog = kernel_programs()[-1]
+    assert solve(prog).status == OPTIMAL
     assert len(seen) >= 2
-    for buffers, _, _ in seen:
+    off_block = np.ones((sum(prog.block_sizes),) * 2, dtype=bool)
+    for _, sub in block_slices(sdp._layout(prog.block_sizes)):
+        off_block[sub, sub] = False
+    for buffers, _, _, ginv in seen:
         assert all(np.shares_memory(a, b) for a, b in zip(seen[0][0], buffers))
         assert buffers[-1].flags.f_contiguous
-    for _, schur, chol in seen:
+        assert not ginv[off_block].any()
+    for _, schur, chol, _ in seen:
         factor_rows = np.tril(chol)
         err = np.linalg.norm(factor_rows @ factor_rows.T - schur)
         assert err <= 1e-12 * np.linalg.norm(schur), err
