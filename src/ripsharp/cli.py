@@ -174,33 +174,6 @@ def write_csv(path: str, header: str, rows: list[tuple]) -> None:
             fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
-def cmd_verify(instance_path: str, x_path: str | None = None) -> str:
-    """Textual report on an instance file at a candidate point.
-
-    The file may be a bare serialized instance or a bundle
-    ``{"instance": ..., "x": ...}``; an explicit ``x_path`` overrides the
-    bundled point.
-    """
-    payload = _load_json(instance_path)
-    body = payload.get("instance", payload)
-    try:
-        inst = RecoveryInstance.from_json(json.dumps(body))
-    except KeyError as exc:
-        raise ValueError(f"{instance_path}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{instance_path}: {exc}") from exc
-    if x_path is not None:
-        x = load_array(x_path)
-    elif "x" in payload:
-        try:
-            x = np.asarray(payload["x"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f'{instance_path}: "x" must be a numeric array') from exc
-    else:
-        raise ValueError('no candidate point: pass --x or bundle an "x" entry')
-    return verify_report(inst, x)
-
-
 def verify_report(inst: RecoveryInstance, x: np.ndarray) -> str:
     rip = rip_constant_fullspace(inst.operator)
     cert = criticality_certificate(inst, x)
@@ -321,7 +294,7 @@ def _cmd_counterexample(args) -> int:
     ex = counterexample.generate_example(z, seed=args.seed)
     report = counterexample.verify_example(ex)
     bundle = {
-        "instance": json.loads(ex.instance.to_json()),
+        "instance": ex.instance.to_dict(),
         "x": ex.spurious_x.tolist(),
         "verification": asdict(report),
     }
@@ -358,7 +331,25 @@ def _cmd_ecdf(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    print(cmd_verify(args.instance, args.x))
+    # The file holds a bare instance or a bundle {"instance": ..., "x": ...};
+    # --x overrides the bundled point.
+    payload = _load_json(args.instance)
+    try:
+        inst = RecoveryInstance.from_dict(payload.get("instance", payload))
+    except KeyError as exc:
+        raise ValueError(f"{args.instance}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.instance}: {exc}") from exc
+    if args.x is not None:
+        x = load_array(args.x)
+    elif "x" in payload:
+        try:
+            x = np.asarray(payload["x"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f'{args.instance}: "x" must be a numeric array') from exc
+    else:
+        raise ValueError('no candidate point: pass --x or bundle an "x" entry')
+    print(verify_report(inst, x))
     return EXIT_OK
 
 

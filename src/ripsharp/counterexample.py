@@ -30,18 +30,6 @@ class ExampleInstance:
     instance: RecoveryInstance
     spurious_x: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.instance.z[:, 0]
-
-    @property
-    def operator(self) -> MeasurementOperator:
-        return self.instance.operator
-
 
 @dataclass
 class ExampleReport:
@@ -97,11 +85,11 @@ def verify_example(ex: ExampleInstance) -> ExampleReport:
     inst = ex.instance
     x = ex.spurious_x
     f_x, grad, hess = evaluate(inst, x)
-    f_expected = 0.75 * float(np.linalg.norm(ex.z) ** 4)
+    f_expected = 0.75 * float(np.linalg.norm(inst.z) ** 4)
     hess_gap = hess - 8.0 * np.outer(x, x)
     hess_gap_min = float(np.linalg.eigvalsh(hess_gap)[0])
     rip = rip_constant_fullspace(inst.operator)
-    f_z, _, _ = evaluate(inst, ex.z)
+    f_z, _, _ = evaluate(inst, inst.z)
     ok = (
         abs(f_x - f_expected) <= 1e-9
         and float(np.linalg.norm(grad)) <= 1e-9

@@ -14,7 +14,6 @@ Hessian form and its adjoint, for ``evaluate`` and every program of ``lmi``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,7 +70,7 @@ class RecoveryInstance:
 
     def __post_init__(self) -> None:
         self.z = as_factor(self.z, "ground truth", (self.operator.n, None))
-        if self.scale not in (0.5, 1.0):
+        if isinstance(self.scale, bool) or self.scale not in (0.5, 1.0):
             raise ValueError("scale must be 1/2 or 1")
 
     @property
@@ -82,19 +81,18 @@ class RecoveryInstance:
     def r(self) -> int:
         return self.z.shape[1]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """JSON-ready payload with keys n, r, scale, Z and A."""
+        return {
             "n": self.n,
             "r": self.r,
             "scale": self.scale,
             "Z": self.z.tolist(),
             "A": [a.tolist() for a in self.operator.matrices],
         }
-        return json.dumps(payload)
 
     @classmethod
-    def from_json(cls, text: str) -> "RecoveryInstance":
-        payload = json.loads(text)
+    def from_dict(cls, payload) -> "RecoveryInstance":
         if not isinstance(payload, dict):
             raise ValueError("serialized instance must be a JSON object")
         op = MeasurementOperator(np.asarray(payload["A"], dtype=float))

@@ -67,10 +67,10 @@ _CHUNK = 1 << 15
 class ConeProgram:
     """Block LMI F0^k + sum_i y_i F_i^k >= 0 with linear objective c^T y, stored packed.
 
-    Built from ``(f0, a)`` pairs, one per block of side k: ``f0`` =
+    Built from ``(f0, a)`` pairs, one per block of side k >= 1: ``f0`` =
     svec(F0) and ``a`` the (p, k(k+1)/2) rows svec(F_1) ... svec(F_p), all
-    finite.  Row i of ``a`` (p x sum k(k+1)/2) holds the blocks' svec(F_i)
-    side by side, and ``f0`` their svec(F0) in the same order.
+    finite, p >= 1.  Row i of ``a`` (p x sum k(k+1)/2) holds the blocks'
+    svec(F_i) side by side, and ``f0`` their svec(F0) in the same order.
     """
 
     __slots__ = ("c", "a", "f0", "block_sizes")
@@ -81,12 +81,16 @@ class ConeProgram:
             raise ValueError("c must be finite")
         if not blocks:
             raise ValueError("program has no blocks")
+        if not self.c.size:
+            raise ValueError("program has no variables")
         f0s, rows = zip(*[(np.asarray(f0, dtype=float), np.asarray(a, dtype=float))
                           for f0, a in blocks])
         self.block_sizes = tuple(svec_side(f0.size) for f0 in f0s)
         for f0, a, k in zip(f0s, rows, self.block_sizes):
             if f0.shape != (svec_dim(k),):
                 raise ValueError(f"F0 must be the svec of a square matrix, got shape {f0.shape}")
+            if not k:
+                raise ValueError("every block must have side at least 1")
             if a.shape != (self.c.size,) + f0.shape:
                 raise ValueError(f"coefficients must be a {(self.c.size,) + f0.shape} array, "
                                  f"one svec(F_i) per variable; got shape {a.shape}")

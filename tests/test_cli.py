@@ -11,6 +11,7 @@ import pytest
 
 import ripsharp
 from ripsharp import cli, sdp
+from ripsharp.counterexample import generate_example
 from ripsharp.errors import SolverError
 from ripsharp.objective import MeasurementOperator, RecoveryInstance
 
@@ -159,6 +160,11 @@ def test_counterexample_bundle_roundtrip(tmp_path, capsys):
     payload = json.loads(bundle.read_text())
     assert set(payload) == {"instance", "x", "verification"}
     assert payload["verification"]["ok"] is True
+    back = RecoveryInstance.from_dict(payload["instance"])
+    inst = generate_example(np.eye(3, 1)).instance
+    assert np.array_equal(back.z, inst.z)
+    assert np.array_equal(back.operator.matrices, inst.operator.matrices)
+    assert back.scale == inst.scale
     capsys.readouterr()
     assert cli.main(["verify", "--instance", str(bundle)]) == 0
     outp = capsys.readouterr().out
@@ -210,7 +216,9 @@ def test_verify_rejects_mistyped_bundle(tmp_path, capsys):
     bundle = tmp_path / "bundle.json"
     for payload in (
         {"instance": [1, 2], "x": [0.0, 1.0]},
-        {"instance": json.loads(inst.to_json()), "x": {"a": 1}},
+        {"instance": inst.to_dict(), "x": {"a": 1}},
+        # a JSON true is not the scale 1, though True == 1.0 in Python
+        {"instance": dict(inst.to_dict(), scale=True), "x": [0.0, 1.0]},
     ):
         bundle.write_text(json.dumps(payload))
         capsys.readouterr()

@@ -84,8 +84,8 @@ def test_ground_truth_is_global_minimum():
 def test_operator_row_count():
     z = np.array([1.0, 0.0, 0.0, 0.0])
     ex = generate_example(z, seed=1)
-    assert ex.operator.m == 16
-    assert ex.n == 4
+    assert ex.instance.operator.m == 16
+    assert ex.instance.n == 4
 
 
 def test_scalar_ground_truth_rejected():

@@ -191,25 +191,26 @@ def test_operator_rejects_nonfinite_matrices(bad):
 
 
 def test_instance_json_roundtrip():
+    # JSON writes the shortest repr of every float, so the text round trip is exact
     inst, _ = random_instance(12, 3, 1)
-    back = RecoveryInstance.from_json(inst.to_json())
-    assert np.allclose(back.z, inst.z)
+    back = RecoveryInstance.from_dict(json.loads(json.dumps(inst.to_dict())))
+    assert np.array_equal(back.z, inst.z)
     assert back.scale == inst.scale
-    assert np.allclose(back.operator.matrices, inst.operator.matrices)
+    assert np.array_equal(back.operator.matrices, inst.operator.matrices)
 
 
 def test_instance_json_rejects_dim_mismatch():
     inst, _ = random_instance(13, 3, 1)
-    payload = json.loads(inst.to_json())
+    payload = inst.to_dict()
     payload["n"] = 4
-    with pytest.raises(ValueError):
-        RecoveryInstance.from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        RecoveryInstance.from_dict(payload)
 
 
 @pytest.mark.parametrize("payload", [[1, 2], "instance", None])
 def test_instance_json_rejects_non_object(payload):
     with pytest.raises(ValueError, match="JSON object"):
-        RecoveryInstance.from_json(json.dumps(payload))
+        RecoveryInstance.from_dict(payload)
 
 
 def test_evaluate_rejects_wrong_shape():

@@ -158,6 +158,13 @@ def test_program_rejects_non_square_f0_and_no_blocks():
             ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, f0.size)))])
     with pytest.raises(ValueError, match="program has no blocks"):
         ConeProgram(c=np.zeros(1), blocks=[])
+    # a block of side 0, alone or beside a proper one, and a program with no variables
+    for blocks in ([(np.zeros(0), np.zeros((1, 0)))],
+                   [(svec(np.eye(2)), np.zeros((1, 3))), (np.zeros(0), np.zeros((1, 0)))]):
+        with pytest.raises(ValueError, match="every block must have side at least 1"):
+            ConeProgram(c=np.zeros(1), blocks=blocks)
+    with pytest.raises(ValueError, match="program has no variables"):
+        ConeProgram(c=np.zeros(0), blocks=[(svec(np.eye(2)), np.zeros((0, 3)))])
     # a non-finite objective, F0 entry or coefficient, or start point
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="c must be finite"):

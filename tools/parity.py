@@ -1,0 +1,146 @@
+"""Parity probe: record the solve of every parity program, or compare two records.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/parity.py record OUT.json
+    PYTHONPATH=src python tools/parity.py compare BEFORE.json AFTER.json
+
+The parity sets are the 398 pairs of the criterion-4 sweep grid, the 200
+(4,1) samples of ecdf stream 0, the 1600 (5,2) samples of streams 0-15 and
+the 120 (6,3) pairs of seeds 0-9 that the certify-rank3 benchmark draws:
+2318 programs.  ``record`` builds and solves each one with the ``ripsharp``
+found on ``PYTHONPATH`` (point it at another checkout's ``src`` to record
+that one) and writes, per pair, the sha256 of the cone program's ``c``,
+``a`` and ``f0``, the status, delta as ``float.hex``, the final gap, the
+iterations, the sha256 of the multiplier ``dual.y`` and the largest
+certificate violation.  It takes about 15 s at one BLAS thread on a 2-CPU x86-64 machine.
+
+``compare`` prints every pair whose records differ and a summary.  It exits
+1 when a pair is missing from either record, a status changed, or a delta
+moved by more than max(1e-9, BEFORE's final gap); other differences are
+reported only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+
+import ripsharp
+from ripsharp import cli, closedform, lmi
+from ripsharp.errors import NotSpuriousError
+
+DELTA_TOL = 1e-9
+
+
+def parity_pairs():
+    """(name, x, z) for every parity program, in a fixed order."""
+    # The criterion-4 grid, as cli.sweep_grid walks it; one point has x x^T = z z^T.
+    for rho in np.linspace(0.0, 2.0, 21):
+        for phi in np.linspace(0.0, 90.0, 19):
+            rho, phi = float(rho), float(phi)
+            try:
+                closedform.from_polar(rho, np.deg2rad(phi))
+            except NotSpuriousError:
+                continue
+            x, z = closedform.canonical_pair(rho, np.deg2rad(phi))
+            yield f"sweep rho={rho:g} phi={phi:g}", x, z
+    for n, r, streams, samples in ((4, 1, 1, 200), (5, 2, 16, 100)):
+        for stream in range(streams):
+            for index in range(samples):
+                x, z = cli.draw_pair(n, r, stream, index)
+                yield f"ecdf ({n},{r}) {stream}/{index}", x, z
+    # The draws of bench/workloads.py's CertifyRank3, twelve pairs per seed.
+    for seed in range(10):
+        for index in range(12):
+            rng = np.random.default_rng((seed, index))
+            x, z = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+            yield f"rank3 {seed}/{index}", x, z
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def record_pair(x: np.ndarray, z: np.ndarray) -> dict:
+    pair = lmi.reduce(x, z)
+    prob = lmi.build_upper_lmi(pair)
+    sol = lmi.solve_lmi(prob)
+    return {
+        "c": _sha(prob.cone.c),
+        "a": _sha(prob.cone.a),
+        "f0": _sha(prob.cone.f0),
+        "status": sol.status,
+        "delta": float.hex(sol.delta),
+        "gap": sol.gap,
+        "iterations": sol.iterations,
+        "dual_y": _sha(sol.dual.y),
+        "max_violation": lmi.verify_certificates(sol, pair).max_violation(),
+    }
+
+
+def record(path: str) -> int:
+    settings = {
+        "ripsharp": os.path.dirname(ripsharp.__file__),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "numpy": np.__version__,
+    }
+    pairs = {name: record_pair(x, z) for name, x, z in parity_pairs()}
+    with open(path, "w", newline="\n") as fh:
+        json.dump({"settings": settings, "pairs": pairs}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(pairs)} programs to {path}")
+    return 0
+
+
+def compare(before_path: str, after_path: str) -> int:
+    with open(before_path) as fh:
+        before = json.load(fh)
+    with open(after_path) as fh:
+        after = json.load(fh)
+    if before["settings"] != after["settings"]:
+        print(f"settings: {before['settings']} -> {after['settings']}")
+    old, new = before["pairs"], after["pairs"]
+    names = sorted(old.keys() | new.keys())
+    missing = differ = failed = 0
+    for name in names:
+        if name not in old or name not in new:
+            print(f"{name}: only in {before_path if name in old else after_path}")
+            missing += 1
+            continue
+        a, b = old[name], new[name]
+        if a == b:
+            continue
+        differ += 1
+        d_a, d_b = float.fromhex(a["delta"]), float.fromhex(b["delta"])
+        bound = max(DELTA_TOL, a["gap"])
+        bad = a["status"] != b["status"] or abs(d_b - d_a) > bound
+        failed += bad
+        others = ", ".join(f"{k} {a[k]} -> {b[k]}" for k in a
+                           if k not in ("status", "delta") and a[k] != b[k])
+        print(f"{name}: {'FAIL' if bad else 'differs'}: status {a['status']} -> {b['status']}, "
+              f"delta {d_a!r} -> {d_b!r} (bound {bound:.3g}); {others}")
+    print(f"{len(names)} programs: {len(names) - missing - differ} identical, {differ} differ "
+          f"({failed} of them in status or delta), {missing} missing from one record")
+    return 1 if missing or failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="parity", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("record", help="solve every parity program and write OUT.json")
+    p.add_argument("out")
+    p = sub.add_parser("compare", help="report the differences between two records")
+    p.add_argument("before")
+    p.add_argument("after")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        return record(args.out)
+    return compare(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
