@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import numbers
 import sys
 from dataclasses import asdict, dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import closedform, counterexample, lmi
 from .errors import NotSpuriousError, SolverError
-from .linalg import coincident
+from .linalg import as_float, as_int, coincident
 from .objective import RecoveryInstance, criticality_certificate, rip_constant_fullspace
 
 EXIT_OK = 0
@@ -57,9 +56,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for name in ("rho_min", "rho_max", "phi_min", "phi_max"):
-            setattr(self, name, _as_float(getattr(self, name), name))
-        self.rho_steps = _as_int(self.rho_steps, "rho_steps")
-        self.phi_steps = _as_int(self.phi_steps, "phi_steps")
+            setattr(self, name, as_float(getattr(self, name), name))
+        self.rho_steps = as_int(self.rho_steps, "rho_steps")
+        self.phi_steps = as_int(self.phi_steps, "phi_steps")
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be one of {', '.join(SWEEP_MODES)}")
         if min(self.rho_steps, self.phi_steps) < 2:
@@ -82,7 +81,7 @@ class EcdfConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "r", "num_samples", "seed"):
-            setattr(self, name, _as_int(getattr(self, name), name))
+            setattr(self, name, as_int(getattr(self, name), name))
         if not self.n >= self.r >= 1:
             raise ValueError("need n >= r >= 1")
         if self.num_samples < 1:
@@ -242,18 +241,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return payload
-
-
-def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
-        raise ValueError(f"{name} must be a finite number")
-    return float(value)
-
-
-def _as_int(value, name: str) -> int:
-    if not _as_float(value, name).is_integer():
-        raise ValueError(f"{name} must be an integer")
-    return int(value)
 
 
 def _require_converged(status: str, what: str) -> None:

@@ -8,6 +8,7 @@ routines are pure functions of their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +55,20 @@ def as_factor(a: np.ndarray, name: str, shape: tuple = (None, None)) -> np.ndarr
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
+
+
+def as_float(value, name: str) -> float:
+    """The package's one number check: a finite real, and not a bool (JSON ``true``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number")
+    return float(value)
+
+
+def as_int(value, name: str) -> int:
+    """:func:`as_float` with an integer value; ``3.0`` reads as 3."""
+    if not as_float(value, name).is_integer():
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
 
 
 def pow2_rescale(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

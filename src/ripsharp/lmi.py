@@ -168,11 +168,10 @@ class CertificateReport:
 
     Keys: ``stationarity``, ``curvature-psd``, ``gram-lower``,
     ``gram-upper`` for the primal rows; ``dual-trace``, ``dual-equation``
-    and the three ``dual-*-psd`` cone checks when a dual is present; and
-    ``lift-*`` variants after expanding the solution to the ambient
-    dimension through the pair's span basis.  Both frames share ``scale``
-    = max(1, largest multiplier norm, ||x x^T - z z^T||_F), which the checks
-    grow with.
+    and the three ``dual-*-psd`` cone checks when a dual is present.  All
+    are taken in one frame, that of the pair's span basis, and ``scale``
+    = max(1, largest multiplier norm, ||x x^T - z z^T||_F) of that frame's
+    factors, which the checks grow with.
     """
 
     checks: dict[str, float]
@@ -345,52 +344,47 @@ def recover_minimizer(sol: SdpSolution, pair: ReducedPair) -> MeasurementOperato
 def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateReport:
     """Residuals of every feasibility row the solution claims to satisfy.
 
-    Checks the primal rows, and the dual rows when a dual is attached, in
-    two frames: the reduced one (basis ``I_d``) and the ambient one (basis
-    ``P``, keys prefixed ``lift-``).  In each, the factors are ``B xhat``
-    and ``B zhat``, the gram matrix is extended through ``B kron B`` and
-    the multipliers are pushed through ``B kron B`` and ``I_r kron B``.
-    Pure report: nothing is thresholded away, nothing raises.
+    Checks the primal rows, and the dual rows when a dual is attached, once,
+    in the ambient frame: factors ``P xhat`` and ``P zhat``, H extended through
+    ``P kron P``, multipliers pushed through ``P kron P`` and ``I_r kron P``.
+    Off the span this adds gram eigenvalues 1 and, for the part U of a
+    direction there, the Hessian term ``||x U^T + U x^T||^2 >= 0``, so every
+    reduced row is checked; ``ReducedPair(np.eye(d), xhat, zhat)`` checks the
+    reduced frame.  Pure report: nothing is thresholded away, nothing raises.
     """
     r = pair.r
     h = sym(np.asarray(primal.h, dtype=float))
     delta = float(primal.delta)
     dual = primal.dual
-    checks: dict[str, float] = {}
-    for prefix, b in (("", np.eye(pair.d)), ("lift-", pair.p)):
-        bb, ib = np.kron(b, b), np.kron(np.eye(r), b)
-        x, z = b @ pair.xhat, b @ pair.zhat
-        jac, evec = jacobian_mat(x), vec(x @ x.T - z @ z.T)
-        if prefix:
-            checks["lift-residual"] = float(np.abs(evec - bb @ evec_d).max())
-            checks["lift-jacobian"] = float(np.abs(jac @ ib - bb @ jac_d).max())
-        else:
-            jac_d, evec_d = jac, evec
-        hb = _extend(h, bb)
-        gram_eigs = np.linalg.eigvalsh(sym(hb))
-        # The criticality maps see only H' = Q^T H Q, in svec coordinates.
-        q = sym_basis(x.shape[0])
-        jac_s, evec_s, h_s = q.T @ jac, q.T @ evec, q.T @ hb @ q
-        curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac_s, evec_s, h_s, r)))
-        checks[prefix + "stationarity"] = float(np.abs(jac_s.T @ (h_s @ evec_s)).max())
-        checks[prefix + "curvature-psd"] = max(0.0, -float(curv_eigs[0]))
-        checks[prefix + "gram-lower"] = max(0.0, (1.0 - delta) - float(gram_eigs[0]))
-        checks[prefix + "gram-upper"] = max(0.0, float(gram_eigs[-1]) - (1.0 + delta))
-        if dual is None:
-            continue
+    bb, ib = np.kron(pair.p, pair.p), np.kron(np.eye(r), pair.p)
+    x, z = pair.p @ pair.xhat, pair.p @ pair.zhat
+    jac, evec = jacobian_mat(x), vec(x @ x.T - z @ z.T)
+    hb = _extend(h, bb)
+    gram_eigs = np.linalg.eigvalsh(sym(hb))
+    # The criticality maps see only H' = Q^T H Q, in svec coordinates.
+    q = sym_basis(pair.n)
+    jac_s, evec_s, h_s = q.T @ jac, q.T @ evec, q.T @ hb @ q
+    curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac_s, evec_s, h_s, r)))
+    checks = {
+        "stationarity": float(np.abs(jac_s.T @ (h_s @ evec_s)).max()),
+        "curvature-psd": max(0.0, -float(curv_eigs[0])),
+        "gram-lower": max(0.0, (1.0 - delta) - float(gram_eigs[0])),
+        "gram-upper": max(0.0, float(gram_eigs[-1]) - (1.0 + delta)),
+    }
+    gap, sizes = None, []
+    if dual is not None:
         y, v = ib @ dual.y, sym(ib @ dual.v @ ib.T)
         u1, u2 = sym(bb @ dual.u1 @ bb.T), sym(bb @ dual.u2 @ bb.T)
         # 2r times the stationarity rows' adjoint at y, less the curvature form's at V.
         rows = stationarity_rows(jac_s, evec_s)
         lhs = 2.0 * r * smat(rows.T @ y) - curvature_adjoint(jac_s, evec_s, v, r)
-        checks[prefix + "dual-trace"] = abs(float(np.trace(u1) + np.trace(u2)) - 1.0)
-        checks[prefix + "dual-equation"] = float(np.abs(q @ lhs @ q.T - (u1 - u2)).max())
+        checks["dual-trace"] = abs(float(np.trace(u1) + np.trace(u2)) - 1.0)
+        checks["dual-equation"] = float(np.abs(q @ lhs @ q.T - (u1 - u2)).max())
         for name, m in (("curvature", v), ("gram-lower", u1), ("gram-upper", u2)):
-            floor = float(np.linalg.eigvalsh(m)[0])
-            checks[f"{prefix}dual-{name}-psd"] = max(0.0, -floor)
-    gap = None if dual is None else delta - float(np.trace(dual.u1) - np.trace(dual.u2))
-    sizes = [] if dual is None else [np.linalg.norm(m) for m in (dual.y, dual.u1, dual.u2, dual.v)]
-    return CertificateReport(checks, gap, float(max(1.0, *sizes, np.linalg.norm(evec_d))))
+            checks[f"dual-{name}-psd"] = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+        gap = delta - float(np.trace(dual.u1) - np.trace(dual.u2))
+        sizes = [np.linalg.norm(m) for m in (dual.y, dual.u1, dual.u2, dual.v)]
+    return CertificateReport(checks, gap, float(max(1.0, *sizes, np.linalg.norm(evec))))
 
 
 def _extend(m: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_factor, mat, smat, svec, sym, sym_basis, vec
+from .linalg import as_factor, as_int, mat, smat, svec, sym, sym_basis, vec
 
 
 @dataclass
@@ -97,7 +97,7 @@ class RecoveryInstance:
             raise ValueError("serialized instance must be a JSON object")
         op = MeasurementOperator(np.asarray(payload["A"], dtype=float))
         inst = cls(op, np.asarray(payload["Z"], dtype=float), payload["scale"])
-        if inst.n != payload["n"] or inst.r != payload["r"]:
+        if inst.n != as_int(payload["n"], "n") or inst.r != as_int(payload["r"], "r"):
             raise ValueError("inconsistent dimensions in serialized instance")
         return inst
 
@@ -117,12 +117,6 @@ class CriticalityCertificate:
     def __post_init__(self) -> None:
         self.is_first_order = self.grad_norm <= self.tol_g
         self.is_second_order = self.is_first_order and self.hess_min_eig >= -self.tol_h
-
-
-def residual_vec(inst: RecoveryInstance, x: np.ndarray) -> np.ndarray:
-    """Vectorized lifted residual e = vec(XX^T - ZZ^T)."""
-    x = as_factor(x, "candidate", inst.z.shape)
-    return vec(x @ x.T - inst.z @ inst.z.T)
 
 
 def jacobian_mat(x: np.ndarray) -> np.ndarray:
@@ -187,7 +181,7 @@ def criticality_certificate(
     x = as_factor(x, "candidate", inst.z.shape)
     f, grad, hess = evaluate(inst, x)
     op_sq = float(np.linalg.norm(inst.operator.stacked, 2) ** 2)
-    e_norm = float(np.linalg.norm(residual_vec(inst, x)))
+    e_norm = float(np.linalg.norm(vec(x @ x.T - inst.z @ inst.z.T)))
     return CriticalityCertificate(
         f_value=f,
         grad_norm=float(np.linalg.norm(grad)),

@@ -219,6 +219,7 @@ def test_verify_rejects_mistyped_bundle(tmp_path, capsys):
         {"instance": inst.to_dict(), "x": {"a": 1}},
         # a JSON true is not the scale 1, though True == 1.0 in Python
         {"instance": dict(inst.to_dict(), scale=True), "x": [0.0, 1.0]},
+        {"instance": dict(inst.to_dict(), r=True), "x": [0.0, 1.0]},
     ):
         bundle.write_text(json.dumps(payload))
         capsys.readouterr()

@@ -4,6 +4,8 @@ import pytest
 
 from ripsharp.errors import NotPsdError
 from ripsharp.linalg import (
+    as_float,
+    as_int,
     factor_gram,
     mat,
     orth_complement,
@@ -15,6 +17,18 @@ from ripsharp.linalg import (
     sym_basis,
     vec,
 )
+
+
+def test_number_check():
+    # a whole float reads as an int, as in a JSON plan or bundle; a bool
+    # (JSON true) is no number, though True == 1 in Python
+    assert as_int(3, "k") == as_int(3.0, "k") == as_int(np.int64(3), "k") == 3
+    assert as_float(2, "t") == 2.0 and isinstance(as_float(2, "t"), float)
+    for bad in (True, "3", None, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^k must be a finite number$"):
+            as_int(bad, "k")
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        as_int(2.5, "k")
 
 
 def test_vec_mat_roundtrip():

@@ -22,7 +22,8 @@ from ripsharp.lmi import (
     solve_lmi,
     verify_certificates,
 )
-from ripsharp.objective import jacobian_mat
+from ripsharp.objective import RecoveryInstance, criticality_certificate, jacobian_mat
+from ripsharp.objective import rip_constant_fullspace
 
 # frozen from an independent convex-programming solver
 SHARP_DELTA = 0.49999999999643974
@@ -114,11 +115,11 @@ def test_certificates_on_solved_pair():
     rep = verify_certificates(sol, reduce(x, z))
     assert rep.max_violation() <= 1e-8
     assert abs(rep.gap) <= 1e-7
-    # every advertised check family is present
-    names = set(rep.checks)
-    assert any(k.startswith("dual-") for k in names)
-    assert any(k.startswith("lift-") for k in names)
-    assert "stationarity" in names and "curvature-psd" in names
+    # one frame: each primal and dual row once
+    assert set(rep.checks) == {
+        "stationarity", "curvature-psd", "gram-lower", "gram-upper", "dual-trace",
+        "dual-equation", "dual-curvature-psd", "dual-gram-lower-psd", "dual-gram-upper-psd",
+    }
 
 
 def test_boundary_gram_is_feasible():
@@ -243,6 +244,20 @@ def test_recovered_operator_from_singular_gram():
         np.linalg.cholesky(sol.h)
     op = _check_recovered(sol, pair)
     assert op.m == 2 + pair.n**2 - pair.d**2
+
+
+def test_recovered_operators_pass_the_criticality_certificate():
+    # the operator recovered from each (6, 3) pair of seed 3 makes x a
+    # second-order critical point at criticality_certificate's default
+    # tolerances, and its isometry constant on all of R^{n x n} is delta
+    for k in range(12):
+        rng = np.random.default_rng((3, k))
+        x, z = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        sol = delta_exact(x, z)
+        assert sol.status == STATUS_OPTIMAL, k
+        op = recover_minimizer(sol, reduce(x, z))
+        assert criticality_certificate(RecoveryInstance(op, z), x).is_second_order, k
+        assert abs(rip_constant_fullspace(op) - sol.delta) <= 1e-6, k
 
 
 def test_recover_requires_optimal():
@@ -449,26 +464,27 @@ def _certificate_bound(x, z, sol):
 
 @pytest.mark.parametrize("t", [1e-3, 1.0, 10.0])
 def test_certificate_scale_in_both_frames(t):
-    # the report's scale is max(1, multiplier norm, ||x x^T - z z^T||_F),
-    # whether the residual is taken from the reduced or the ambient factors,
-    # and the relative violation bounds the checks of both frames.  On
-    # (5, 2) ecdf stream 0 sample 3 scaled by t, the multiplier y sets it
-    # at t = 1e-3 (3.6e6) and the residual (about 10.8 t^2) at 1 and 10
+    # the report's scale is max(1, multiplier norm, ||x x^T - z z^T||_F) of
+    # the factors of its frame: the ambient one of the span basis, or the
+    # reduced one of ReducedPair(I_d, xhat, zhat), whose residual has the
+    # same norm.  On (5, 2) ecdf stream 0 sample 3 scaled by t, the
+    # multiplier y sets it at t = 1e-3 (3.6e6) and the residual (about
+    # 10.8 t^2) at 1 and 10
     x, z = (t * m for m in cli.draw_pair(5, 2, 0, 3))
     pair = reduce(x, z)
     sol = delta_exact(x, z)
     rep = verify_certificates(sol, pair)
+    reduced = verify_certificates(sol, ReducedPair(np.eye(pair.d), pair.xhat, pair.zhat))
     assert abs(rep.scale - 1e8 * _certificate_bound(x, z, sol)) <= 1e-12 * rep.scale
-    reduced = max(1.0, np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
-    assert rep.scale >= reduced and (rep.scale > 1e6) == (t < 1.0)
-    assert rep.max_relative_violation() == rep.max_violation() / rep.scale
-    for lifted in (False, True):
-        frame = [v for k, v in rep.checks.items() if k.startswith("lift-") == lifted]
-        assert len(frame) >= 9
-        assert max(frame) / rep.scale <= rep.max_relative_violation() <= 1e-8
+    assert abs(reduced.scale - rep.scale) <= 1e-12 * rep.scale
+    assert (rep.scale > 1e6) == (t < 1.0)
+    for report in (rep, reduced):
+        assert report.max_relative_violation() == report.max_violation() / report.scale
+        assert report.max_relative_violation() <= 1e-8
     # without a dual only the residual sets the scale
     rep = verify_certificates(dataclasses.replace(sol, dual=None), pair)
-    assert abs(rep.scale - reduced) <= 1e-12 * reduced
+    residual = max(1.0, np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
+    assert abs(rep.scale - residual) <= 1e-12 * residual
     assert rep.max_relative_violation() <= 1e-8
 
 

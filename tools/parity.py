@@ -13,7 +13,9 @@ that one) and writes, per pair, the sha256 of the cone program's ``c``,
 iterations, the sha256 of the multiplier ``dual.y`` and the largest
 certificate violation.  It takes about 15 s at one BLAS thread on a 2-CPU x86-64 machine.
 
-``compare`` prints every pair whose records differ and a summary.  It exits
+``compare`` prints every pair whose records differ and a summary, closed by
+one line per record field that differs: in how many pairs, and for
+``max_violation`` how many of them rose and how many fell.  It exits
 1 when a pair is missing from either record, a status changed, or a delta
 moved by more than max(1e-9, BEFORE's final gap); other differences are
 reported only.
@@ -26,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -106,6 +109,7 @@ def compare(before_path: str, after_path: str) -> int:
     old, new = before["pairs"], after["pairs"]
     names = sorted(old.keys() | new.keys())
     missing = differ = failed = 0
+    fields, rose = Counter(), 0
     for name in names:
         if name not in old or name not in new:
             print(f"{name}: only in {before_path if name in old else after_path}")
@@ -115,6 +119,8 @@ def compare(before_path: str, after_path: str) -> int:
         if a == b:
             continue
         differ += 1
+        fields.update(k for k in a if a[k] != b[k])
+        rose += b["max_violation"] > a["max_violation"]
         d_a, d_b = float.fromhex(a["delta"]), float.fromhex(b["delta"])
         bound = max(DELTA_TOL, a["gap"])
         bad = a["status"] != b["status"] or abs(d_b - d_a) > bound
@@ -125,6 +131,9 @@ def compare(before_path: str, after_path: str) -> int:
               f"delta {d_a!r} -> {d_b!r} (bound {bound:.3g}); {others}")
     print(f"{len(names)} programs: {len(names) - missing - differ} identical, {differ} differ "
           f"({failed} of them in status or delta), {missing} missing from one record")
+    for field, count in fields.items():
+        moved = f" ({rose} rose, {count - rose} fell)" if field == "max_violation" else ""
+        print(f"{field}: differs in {count} pairs{moved}")
     return 1 if missing or failed else 0
 
 
