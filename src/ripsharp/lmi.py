@@ -15,19 +15,18 @@ orthonormal basis ``Q = sym_basis(d)``.  Compression keeps
 ``(1 -/+ delta) I`` (Cauchy interlacing), and so does the extension
 rule ``B (M - I) B^T + I`` (``M`` on the span of the orthonormal columns
 of ``B``, the identity off it).  So the programs are posed on ``H'`` of
-side ``d(d+1)/2``: ``solve_lmi`` extends ``H'`` with ``B = Q``, and
-``verify_certificates`` and ``recover_minimizer`` extend ``H`` with
-``B = P kron P``.  In these coordinates (``J' = Q^T J``, ``e' = Q^T e``)
-the criticality maps are ``objective``'s: ``stationarity_rows``, the Hessian
-form ``curvature_form`` and its adjoint ``curvature_adjoint``, which the dual
-equation reads; ``verify_certificates`` projects its vec-frame J, e and H
-through Q to call them.  The stationarity condition ``J'^T H' e' = 0`` is a
-set of linear rows on ``svec(H')``; each program is built in coordinates of
-their null space, ``svec(H') = N w`` for an orthonormal basis ``N``, so
-every iterate is exactly stationary and every PSD block is affine in the
-cone variables ``y = (delta, w)``.  Every rank decision (the joint span,
-``N``, ``K`` below, the factor of a gram matrix) cuts at
-``linalg.RANK_RTOL``.
+side ``d(d+1)/2``.  The rule has two users: ``solve_lmi`` extends ``H'``
+with ``B = Q``, and ``recover_minimizer`` extends ``H`` with ``B = P kron P``;
+``verify_certificates`` uses Q only.  In these coordinates (``J' = Q^T J``,
+``e' = Q^T e``) the criticality maps are ``objective``'s:
+``stationarity_rows``, the Hessian form ``curvature_form`` and its adjoint
+``curvature_adjoint``, which the dual equation reads.  The stationarity
+condition ``J'^T H' e' = 0`` is a set of linear rows on ``svec(H')``; each
+program is built in coordinates of their null space, ``svec(H') = N w`` for
+an orthonormal basis ``N``, so every iterate is exactly stationary and
+every PSD block is affine in the cone variables ``y = (delta, w)``.  Every
+rank decision (the joint span, ``N``, ``K`` below, the factor of a gram
+matrix) cuts at ``linalg.RANK_RTOL``.
 
 For ``r >= 2`` every curvature coefficient annihilates ``vec(x Omega)``
 for skew ``Omega``, as the objective is invariant under ``x -> x R``.
@@ -57,7 +56,7 @@ import numpy as np
 
 from .errors import NotSpuriousError
 from .linalg import RANK_RTOL, as_factor, coincident, factor_gram, orth_complement, smat, svec
-from .linalg import pow2_rescale, svec_dim, svec_side, sym, sym_basis, vec
+from .linalg import pow2_rescale, svec_dim, svec_side, sym, sym_basis
 from .objective import MeasurementOperator, curvature_adjoint, curvature_form, jacobian_mat
 from .objective import stationarity_rows
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
@@ -87,7 +86,7 @@ class ReducedPair:
         self.xhat = as_factor(self.xhat, "xhat", (self.d, None))
         self.zhat = as_factor(self.zhat, "zhat", self.xhat.shape)
         gram = self.p.T @ self.p
-        if np.abs(gram - np.eye(self.d)).max() > 1e-8:
+        if not np.abs(gram - np.eye(self.d)).max() <= 1e-8:
             raise ValueError("span basis is not orthonormal")
 
     @property
@@ -133,16 +132,14 @@ class LmiProblem:
     scale: float
 
 
+@dataclass
 class DualVariables:
     """Multipliers (y, U1, U2, V) certifying the optimum from below."""
 
-    __slots__ = ("y", "u1", "u2", "v")
-
-    def __init__(self, y: np.ndarray, u1: np.ndarray, u2: np.ndarray, v: np.ndarray):
-        self.y = np.asarray(y, dtype=float)
-        self.u1 = sym(np.asarray(u1, dtype=float))
-        self.u2 = sym(np.asarray(u2, dtype=float))
-        self.v = sym(np.asarray(v, dtype=float))
+    y: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    v: np.ndarray
 
 
 @dataclass
@@ -169,9 +166,9 @@ class CertificateReport:
     Keys: ``stationarity``, ``curvature-psd``, ``gram-lower``,
     ``gram-upper`` for the primal rows; ``dual-trace``, ``dual-equation``
     and the three ``dual-*-psd`` cone checks when a dual is present.  All
-    are taken in one frame, that of the pair's span basis, and ``scale``
-    = max(1, largest multiplier norm, ||x x^T - z z^T||_F) of that frame's
-    factors, which the checks grow with.
+    are taken once, in the span frame the program was solved in, and
+    ``scale`` = max(1, largest multiplier norm, ||xhat xhat^T - zhat zhat^T||_F),
+    which the checks grow with.
     """
 
     checks: dict[str, float]
@@ -302,9 +299,9 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
     c = prob.scale
     dual = DualVariables(
         y=c**3 * _recover_multiplier(prob, v, by_role),
-        u1=q @ by_role["gram-lower"] @ q.T,
-        u2=q @ by_role["gram-upper"] @ q.T,
-        v=c**2 * v,
+        u1=sym(q @ by_role["gram-lower"] @ q.T),
+        u2=sym(q @ by_role["gram-upper"] @ q.T),
+        v=sym(c**2 * v),
     )
     status = res.status
     if status == STATUS_OPTIMAL and delta_raw >= 1.0 - 1e-6:
@@ -345,45 +342,42 @@ def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateRe
     """Residuals of every feasibility row the solution claims to satisfy.
 
     Checks the primal rows, and the dual rows when a dual is attached, once,
-    in the ambient frame: factors ``P xhat`` and ``P zhat``, H extended through
-    ``P kron P``, multipliers pushed through ``P kron P`` and ``I_r kron P``.
-    Off the span this adds gram eigenvalues 1 and, for the part U of a
-    direction there, the Hessian term ``||x U^T + U x^T||^2 >= 0``, so every
-    reduced row is checked; ``ReducedPair(np.eye(d), xhat, zhat)`` checks the
-    reduced frame.  Pure report: nothing is thresholded away, nothing raises.
+    in the frame the program was solved in: factors ``xhat`` and ``zhat``,
+    ``H`` and the multipliers as :func:`solve_lmi` returns them, and
+    ``Q = sym_basis(d)``.  No ambient row is lost, for ``delta >= 0``: off the
+    span the extension rule adds gram eigenvalues 1, inside
+    ``[1 - delta, 1 + delta]``, and dual eigenvalues 0, and for the part U of a
+    direction there the Hessian gains ``||x U^T + U x^T||^2 >= 0`` with no
+    cross terms.  So ``pair.p`` is never read.  Pure report: nothing is
+    thresholded away, nothing raises.
     """
-    r = pair.r
+    r, x, z = pair.r, pair.xhat, pair.zhat
     h = sym(np.asarray(primal.h, dtype=float))
     delta = float(primal.delta)
     dual = primal.dual
-    bb, ib = np.kron(pair.p, pair.p), np.kron(np.eye(r), pair.p)
-    x, z = pair.p @ pair.xhat, pair.p @ pair.zhat
-    jac, evec = jacobian_mat(x), vec(x @ x.T - z @ z.T)
-    hb = _extend(h, bb)
-    gram_eigs = np.linalg.eigvalsh(sym(hb))
+    gram_eigs = np.linalg.eigvalsh(h)
     # The criticality maps see only H' = Q^T H Q, in svec coordinates.
-    q = sym_basis(pair.n)
-    jac_s, evec_s, h_s = q.T @ jac, q.T @ evec, q.T @ hb @ q
-    curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac_s, evec_s, h_s, r)))
+    q = sym_basis(pair.d)
+    jac, evec, h_s = q.T @ jacobian_mat(x), svec(x @ x.T - z @ z.T), q.T @ h @ q
+    curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac, evec, h_s, r)))
     checks = {
-        "stationarity": float(np.abs(jac_s.T @ (h_s @ evec_s)).max()),
+        "stationarity": float(np.abs(jac.T @ (h_s @ evec)).max()),
         "curvature-psd": max(0.0, -float(curv_eigs[0])),
         "gram-lower": max(0.0, (1.0 - delta) - float(gram_eigs[0])),
         "gram-upper": max(0.0, float(gram_eigs[-1]) - (1.0 + delta)),
     }
     gap, sizes = None, []
     if dual is not None:
-        y, v = ib @ dual.y, sym(ib @ dual.v @ ib.T)
-        u1, u2 = sym(bb @ dual.u1 @ bb.T), sym(bb @ dual.u2 @ bb.T)
+        y, u1, u2, v = dual.y, dual.u1, dual.u2, dual.v
         # 2r times the stationarity rows' adjoint at y, less the curvature form's at V.
-        rows = stationarity_rows(jac_s, evec_s)
-        lhs = 2.0 * r * smat(rows.T @ y) - curvature_adjoint(jac_s, evec_s, v, r)
+        rows = stationarity_rows(jac, evec)
+        lhs = 2.0 * r * smat(rows.T @ y) - curvature_adjoint(jac, evec, v, r)
         checks["dual-trace"] = abs(float(np.trace(u1) + np.trace(u2)) - 1.0)
         checks["dual-equation"] = float(np.abs(q @ lhs @ q.T - (u1 - u2)).max())
         for name, m in (("curvature", v), ("gram-lower", u1), ("gram-upper", u2)):
             checks[f"dual-{name}-psd"] = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
-        gap = delta - float(np.trace(dual.u1) - np.trace(dual.u2))
-        sizes = [np.linalg.norm(m) for m in (dual.y, dual.u1, dual.u2, dual.v)]
+        gap = delta - float(np.trace(u1) - np.trace(u2))
+        sizes = [np.linalg.norm(m) for m in (y, u1, u2, v)]
     return CertificateReport(checks, gap, float(max(1.0, *sizes, np.linalg.norm(evec))))
 
 

@@ -1,5 +1,6 @@
 """Tests for the minimum-RIP LMI reduction, solve, and certificates."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ def test_lower_program_rejects_bad_span(case, match):
     }[case]
     with pytest.raises(ValueError, match=match):
         build_lower_lmi(*args)
+
+
+def test_span_basis_with_nan_rejected():
+    with pytest.raises(ValueError, match="orthonormal"):
+        ReducedPair(np.full((3, 1), np.nan), [[1.0]], [[0.5]])
 
 
 def test_certificates_on_solved_pair():
@@ -464,28 +470,47 @@ def _certificate_bound(x, z, sol):
 
 @pytest.mark.parametrize("t", [1e-3, 1.0, 10.0])
 def test_certificate_scale_in_both_frames(t):
-    # the report's scale is max(1, multiplier norm, ||x x^T - z z^T||_F) of
-    # the factors of its frame: the ambient one of the span basis, or the
-    # reduced one of ReducedPair(I_d, xhat, zhat), whose residual has the
-    # same norm.  On (5, 2) ecdf stream 0 sample 3 scaled by t, the
-    # multiplier y sets it at t = 1e-3 (3.6e6) and the residual (about
+    # the report is taken in the span frame, so it is the same, bit for bit,
+    # whatever span basis the pair carries: that of reduce, I_d, or a random
+    # orthonormal 8 x d one.  Its scale is max(1, multiplier norm,
+    # ||x x^T - z z^T||_F); on (5, 2) ecdf stream 0 sample 3 scaled by t,
+    # the multiplier y sets it at t = 1e-3 (3.6e6) and the residual (about
     # 10.8 t^2) at 1 and 10
     x, z = (t * m for m in cli.draw_pair(5, 2, 0, 3))
     pair = reduce(x, z)
     sol = delta_exact(x, z)
     rep = verify_certificates(sol, pair)
-    reduced = verify_certificates(sol, ReducedPair(np.eye(pair.d), pair.xhat, pair.zhat))
+    basis, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((8, pair.d)))
+    for p in (np.eye(pair.d), basis):
+        other = verify_certificates(sol, ReducedPair(p, pair.xhat, pair.zhat))
+        assert (other.checks, other.gap, other.scale) == (rep.checks, rep.gap, rep.scale)
     assert abs(rep.scale - 1e8 * _certificate_bound(x, z, sol)) <= 1e-12 * rep.scale
-    assert abs(reduced.scale - rep.scale) <= 1e-12 * rep.scale
     assert (rep.scale > 1e6) == (t < 1.0)
-    for report in (rep, reduced):
-        assert report.max_relative_violation() == report.max_violation() / report.scale
-        assert report.max_relative_violation() <= 1e-8
+    assert rep.max_relative_violation() == rep.max_violation() / rep.scale
+    assert rep.max_relative_violation() <= 1e-8
     # without a dual only the residual sets the scale
     rep = verify_certificates(dataclasses.replace(sol, dual=None), pair)
     residual = max(1.0, np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
     assert abs(rep.scale - residual) <= 1e-12 * residual
     assert rep.max_relative_violation() <= 1e-8
+
+
+def test_certificate_report_memory_is_free_of_n():
+    # the report never forms an ambient n^2 x n^2 matrix: at (12, 1) its
+    # traced peak stays below one of them, 8 n^4 bytes
+    x, z = _pair((12, 1), 26)
+    pair = reduce(x, z)
+    sol = delta_exact(x, z)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rep = verify_certificates(sol, pair)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.max_relative_violation() <= 1e-8
+    assert peak < 8 * pair.n**4, peak
 
 
 SHAPES_AND_SEEDS = [(4, 1, 20), (4, 1, 21), (5, 2, 22), (5, 2, 23), (6, 3, 24), (6, 3, 25)]

@@ -15,7 +15,8 @@ certificate violation.  It takes about 15 s at one BLAS thread on a 2-CPU x86-64
 
 ``compare`` prints every pair whose records differ and a summary, closed by
 one line per record field that differs: in how many pairs, and for
-``max_violation`` how many of them rose and how many fell.  It exits
+``max_violation`` how many of them rose and how many fell, and the largest
+after/before ratio, with its pair.  It exits
 1 when a pair is missing from either record, a status changed, or a delta
 moved by more than max(1e-9, BEFORE's final gap); other differences are
 reported only.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -109,7 +111,7 @@ def compare(before_path: str, after_path: str) -> int:
     old, new = before["pairs"], after["pairs"]
     names = sorted(old.keys() | new.keys())
     missing = differ = failed = 0
-    fields, rose = Counter(), 0
+    fields, rose, ratio = Counter(), 0, (0.0, "")
     for name in names:
         if name not in old or name not in new:
             print(f"{name}: only in {before_path if name in old else after_path}")
@@ -120,7 +122,10 @@ def compare(before_path: str, after_path: str) -> int:
             continue
         differ += 1
         fields.update(k for k in a if a[k] != b[k])
-        rose += b["max_violation"] > a["max_violation"]
+        v_a, v_b = a["max_violation"], b["max_violation"]
+        rose += v_b > v_a
+        if v_a != v_b:
+            ratio = max(ratio, (v_b / v_a if v_a else math.inf, name))
         d_a, d_b = float.fromhex(a["delta"]), float.fromhex(b["delta"])
         bound = max(DELTA_TOL, a["gap"])
         bad = a["status"] != b["status"] or abs(d_b - d_a) > bound
@@ -132,7 +137,8 @@ def compare(before_path: str, after_path: str) -> int:
     print(f"{len(names)} programs: {len(names) - missing - differ} identical, {differ} differ "
           f"({failed} of them in status or delta), {missing} missing from one record")
     for field, count in fields.items():
-        moved = f" ({rose} rose, {count - rose} fell)" if field == "max_violation" else ""
+        moved = (f" ({rose} rose, {count - rose} fell; largest after/before ratio "
+                 f"{ratio[0]:.3g}, {ratio[1]})" if field == "max_violation" else "")
         print(f"{field}: differs in {count} pairs{moved}")
     return 1 if missing or failed else 0
 
