@@ -21,10 +21,13 @@ with ``B = Q``, and ``recover_minimizer`` extends ``H`` with ``B = P kron P``;
 ``e' = Q^T e``) the criticality maps are ``objective``'s:
 ``stationarity_rows``, the Hessian form ``curvature_form`` and its adjoint
 ``curvature_adjoint``, which the dual equation reads.  The stationarity
-condition ``J'^T H' e' = 0`` is a set of linear rows on ``svec(H')``; each
-program is built in coordinates of their null space, ``svec(H') = N w`` for
-an orthonormal basis ``N``, so every iterate is exactly stationary and
-every PSD block is affine in the cone variables ``y = (delta, w)``.  Every
+condition ``J'^T H' e' = 0`` is a set of linear rows on ``svec(H')``.  Each
+program is posed on ``H'' = R H' R`` for the reflector ``R`` that takes
+``e'`` to a multiple of the first axis, so the rows touch only the first
+column of ``H''``, and in coordinates of their null space, ``svec(H'') = N w``
+for an orthonormal basis ``N`` that is the identity off that column.  So
+every iterate is exactly stationary, every PSD block is affine in the cone
+variables ``y = (delta, w)``, and most ``w`` are one entry of ``H''``.  Every
 rank decision (the joint span, ``N``, ``K`` below, the factor of a gram
 matrix) cuts at ``linalg.RANK_RTOL``.
 
@@ -56,7 +59,7 @@ import numpy as np
 
 from .errors import NotSpuriousError
 from .linalg import RANK_RTOL, as_factor, coincident, factor_gram, orth_complement, smat, svec
-from .linalg import pow2_rescale, svec_dim, svec_side, sym, sym_basis
+from .linalg import pow2_rescale, svec_dim, svec_indices, svec_side, sym, sym_basis
 from .objective import MeasurementOperator, curvature_adjoint, curvature_form, jacobian_mat
 from .objective import stationarity_rows
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
@@ -110,12 +113,13 @@ class LmiProblem:
     ``x x^T - z z^T`` unit norm.  ``H'`` is the gram matrix on the
     symmetric subspace, of side ``dim_h = m(m+1)/2`` for factors with
     ``m`` rows; ``jac = Q^T J`` and ``evec = svec(x x^T - z z^T)`` are in
-    the same svec coordinates, at the scaled factors.  The orthonormal
-    columns of ``basis`` span the ``svec(H')`` that satisfy the
-    stationarity rows ``jac^T H' evec = 0``, and ``cone`` is posed in
-    ``y = (delta, w)`` with ``svec(H') = basis @ w``; its objective is
-    delta.  ``roles[k]`` names block ``k`` of ``cone`` (``curvature``,
-    ``gram-lower``, ``gram-upper``); the curvature block is dropped when
+    the same svec coordinates, at the scaled factors.  The program is posed
+    on ``H'' = R H' R``, ``R = frame`` the reflector that takes ``evec`` to a
+    multiple of the first axis.  The orthonormal columns of ``basis`` span
+    the ``svec(H'')`` that satisfy the stationarity rows ``jac^T H' evec =
+    0``, and ``cone`` is posed in ``y = (delta, w)`` with ``svec(H'') =
+    basis @ w``; its objective is delta.  ``roles[k]`` names block ``k`` of
+    ``cone`` (``curvature``, ``gram-lower``, ``gram-upper``); the curvature block is dropped when
     it is zero.  It is compressed to the orthonormal columns of ``face``
     (``K``, ``m r - r(r-1)/2`` of them).  ``jac``, ``evec``, ``face``
     and ``scale`` are kept so the multipliers can be recovered.
@@ -127,6 +131,7 @@ class LmiProblem:
     roles: list[str]
     jac: np.ndarray
     evec: np.ndarray
+    frame: np.ndarray
     factor_rank: int
     face: np.ndarray
     scale: float
@@ -207,13 +212,17 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     pairs that differ by a factor ``2^j`` build one program bit for bit; then by
     ``||x x^T - z z^T||^(-1/2)``, for a unit residual.  Neither changes
     delta, ``LmiProblem.scale`` is the product, and no program exists
-    when :func:`linalg.coincident` finds ``x x^T = z z^T``.  ``N``
-    is an orthonormal basis of the null space of the stationarity rows:
-    the complement of their span, from :func:`orth_complement`.  The
+    when :func:`linalg.coincident` finds ``x x^T = z z^T``.  The program is
+    posed on ``H'' = R H' R``, for the Householder reflector ``R`` that takes
+    the residual ``e'`` to ``e'' = -/+ ||e'|| e_0``, so the stationarity rows
+    touch only the first column of ``H''``.  ``N`` is an orthonormal basis of
+    their null space: the complement of their span there, from
+    :func:`orth_complement`, then the identity on every other entry.  The
     program is written packed: the gram blocks' svec rows for ``w`` are
-    ``N^T`` itself, as the columns of ``N`` are svec(H') coordinates, and
-    the curvature block's are the svecs of :func:`objective.curvature_form` of
-    the stack ``smat(N^T)``, restricted to the face ``K``.  The curvature block is
+    ``N^T`` itself, one entry of +-1 for every ``w`` off the first column, and
+    the curvature block's are the svecs of :func:`objective.curvature_form`,
+    restricted to the face ``K``; off the first column ``H'' e'' = 0``, and a
+    row is the svec of ``M^T smat(e_ab) M``, ``M = R jac K``.  The curvature block is
     zero, and dropped, when ``x`` and ``z`` are collinear and the null
     space is empty.
     """
@@ -231,11 +240,29 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     jac = q.T @ jacobian_mat(x)
     evec = svec(x @ x.T - z @ z.T)
     dim_h = svec_dim(m)
-    basis = orth_complement(stationarity_rows(jac, evec).T)
+    # The reflector R = R^T = R^-1 takes e' to e'' = -sign(e'_0) ||e'|| e_0, written exactly.
+    e_frame = np.zeros(dim_h)
+    e_frame[0] = -math.copysign(float(np.linalg.norm(evec)), evec[0])
+    v = evec - e_frame
+    frame = np.eye(dim_h) - (2.0 / float(v @ v)) * np.outer(v, v)
+    # In H'' = R H' R the stationarity rows touch only svec(H'')[:dim_h], the first
+    # column: N is their null space there, then the identity on every other entry.
+    head = orth_complement(stationarity_rows(frame @ jac, e_frame)[:, :dim_h].T)
+    h = head.shape[1]
+    basis = np.zeros((svec_dim(dim_h), svec_dim(dim_h) - dim_h + h))
+    basis[:dim_h, :h], basis[dim_h:, h:] = head, np.eye(len(basis) - dim_h)
     face = _face(x)
-    curvature = face.T @ curvature_form(jac, evec, smat(basis.T, dim_h), r) @ face
+    # Curvature rows: the form at H' = R H'' R for the head; for a unit entry (a, b),
+    # b >= 1, H'' e'' = 0 and the row is svec(M^T smat(e_ab) M), M = R jac K.
+    stack = frame @ smat(basis[:, :h].T, dim_h) @ frame
+    curvature = face.T @ curvature_form(jac, evec, stack, r) @ face
+    a, b, w = (index[dim_h:] for index in svec_indices(dim_h))
+    ka, kb, kw = svec_indices(face.shape[1])
+    mk = frame @ jac @ face
+    unit_rows = mk[a][:, ka] * mk[b][:, kb] + mk[b][:, ka] * mk[a][:, kb]
+    unit_rows *= np.multiply.outer(0.5 * w, kw)
     # Symmetrized before packing: the products above are symmetric only to rounding.
-    curv_rows = svec(0.5 * (curvature + curvature.transpose(0, 2, 1)))
+    curv_rows = np.vstack([svec(0.5 * (curvature + curvature.transpose(0, 2, 1))), unit_rows])
     eye = svec(np.eye(dim_h))
     # (role, svec(F0), rows svec(F_i) of the delta coefficient and the w coefficients)
     blocks = [
@@ -243,7 +270,7 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
         ("gram-lower", -eye, np.vstack([eye, basis.T])),
         ("gram-upper", eye, np.vstack([eye, -basis.T])),
     ]
-    if np.abs(curvature).max(initial=0.0) <= 1e-12:
+    if np.abs(curv_rows).max(initial=0.0) <= 1e-12:
         del blocks[0]
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0
@@ -254,6 +281,7 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
         roles=[name for name, *_ in blocks],
         jac=jac,
         evec=evec,
+        frame=frame,
         factor_rank=r,
         face=face,
         scale=math.ldexp(scale, -k),
@@ -282,8 +310,8 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
 def solve_lmi(prob: LmiProblem) -> SdpSolution:
     """Solve an assembled program and recover the full set of multipliers.
 
-    The gram matrix is lifted to vec coordinates as ``Q (H' - I) Q^T + I``,
-    the gram duals as ``Q U Q^T`` and the curvature dual as ``K V K^T``.
+    The gram matrix is lifted to vec coordinates as ``B (H'' - I) B^T + I``,
+    ``B = Q R``, the gram duals as ``B U B^T`` and the curvature dual as ``K V K^T``.
     The multipliers of the scaled program are mapped back to the given
     factors: ``y`` by ``scale^3`` and ``V`` by ``scale^2``.
     """
@@ -291,7 +319,7 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
     y0 = np.concatenate([[INITIAL_DELTA], prob.basis.T @ svec(np.eye(prob.dim_h))])
     res = _solve_cone(prob.cone, y0=y0)
     delta_raw = float(res.y[0])
-    q = sym_basis(svec_side(prob.dim_h))
+    q = sym_basis(svec_side(prob.dim_h)) @ prob.frame
     h = _extend(smat(prob.basis @ res.y[1:], prob.dim_h), q)
     face = prob.face
     by_role = dict(zip(prob.roles, res.duals))
@@ -408,9 +436,11 @@ def _recover_multiplier(
     The null-space coordinates leave the dual equation determined only up
     to the row space; the least-squares solve puts it back, scaled to match
     the multiplier convention of the dual program.  It is solved in the
-    svec coordinates of ``H'``, for the scaled factors of the program.
+    svec coordinates of ``H'``, where ``R`` maps the gram duals back, for the
+    scaled factors of the program.
     """
-    jac, evec, r = prob.jac, prob.evec, prob.factor_rank
-    g = -curvature_adjoint(jac, evec, v, r) - (by_role["gram-lower"] - by_role["gram-upper"])
+    jac, evec, r, frame = prob.jac, prob.evec, prob.factor_rank, prob.frame
+    u = frame @ (by_role["gram-lower"] - by_role["gram-upper"]) @ frame
+    g = -curvature_adjoint(jac, evec, v, r) - u
     w, *_ = np.linalg.lstsq(stationarity_rows(jac, evec).T, svec(sym(g)), rcond=None)
     return -w / (2.0 * r)

@@ -9,7 +9,9 @@ and a Mehrotra predictor-corrector step.  Directions, step lengths and
 the corrector are taken in the NT-scaled frame, where S and Z are one
 diagonal matrix; only the accepted step is unscaled.  All blocks are dense;
 the Schur complement is assembled explicitly and factored by Cholesky,
-which is the right trade for the small matrices this package produces.
+which is the right trade for the small matrices this package produces, and
+the rows with one nonzero entry in a large block take their Schur entries by
+formula, not by congruence (Fujisawa, Kojima and Nakata, Math. Prog. 1997).
 Programs, iterates and directions are packed svecs, all blocks side by side
 (:class:`_Layout`), so every symmetric quantity is symmetric by construction.
 :class:`_Scaling` allocates the solve's large buffers once and takes the
@@ -62,6 +64,10 @@ ITERATION_LIMIT = 200
 STEP_SHRINK = 0.98
 # Doubles per congruence-product chunk buffer (256 KB).
 _CHUNK = 1 << 15
+# Smallest block side whose unit rows take their Schur entries by formula.  Solve
+# times, by congruence and by formula, at one BLAS thread on a 2-CPU x86-64 box:
+# side 3: 1.9 and 3.8 ms; side 10: 4.1 and 6.6 ms; side 21: 33 and 28 ms.
+_UNIT_SIDE = 16
 
 
 class ConeProgram:
@@ -154,12 +160,6 @@ class _Layout:
         """Per block, the (..., k, k) matrices of the last axis of a packed svec array."""
         return [smat(packed[..., rows], k) for (rows, _), k in zip(self.gathers, self.sizes)]
 
-    def wides(self, a: np.ndarray) -> list[np.ndarray]:
-        """Per block, its p coefficients side by side: the (k, p*k) array [F_1 ... F_p]."""
-        # One block at a time: only one block's (p, k, k) stack is held twice.
-        return [smat(a[:, rows], k).transpose(1, 0, 2).reshape(k, -1)
-                for (rows, _), k in zip(self.gathers, self.sizes)]
-
     def smat(self, v: np.ndarray) -> np.ndarray:
         """The n x n block-diagonal matrix of a packed svec."""
         out = np.zeros(self.n * self.n)
@@ -180,42 +180,71 @@ class _Scaling:
     One per solve: it unpacks the program once and allocates the solve's
     large buffers once, and :meth:`factor` overwrites them at each iterate.
     After ``factor(s, z, rp)`` on packed svecs, ``ginv`` is the
-    block-diagonal G^-1, column i of ``svecs`` the packed svec of the lower
-    triangle of G^-1 F_i G^-T and ``rp_hat`` that of G^-1 rp G^-T (neither
-    symmetrized), ``d`` = svec(D), D = diag(lam), ``schur`` = svecs^T svecs
-    and ``chol`` its lower Cholesky factor, in Fortran order.  Per svec
-    entry (i, j), X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j) solves
+    block-diagonal G^-1, ``rp_hat`` the packed svec of the lower triangle of
+    G^-1 rp G^-T, ``d`` = svec(D), D = diag(lam), ``schur`` the Schur
+    complement of :meth:`apply`, dy -> packed svec of G^-1 F(dy) G^-T, and
+    ``chol`` its lower Cholesky factor, in Fortran order.  Per svec entry
+    (i, j), X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j) solves
     (X D + D X)/2 = R, and ``unit`` = (lam_i lam_j)^-1/2 maps a step to
-    D^-1/2 step D^-1/2.  The p congruences of a block of side k run in
-    chunks of ``_CHUNK // k**2`` variables through two buffers.
+    D^-1/2 step D^-1/2.  In a block of side k >= ``_UNIT_SIDE``, a row with one
+    nonzero alpha, at svec position e, is a unit row: with V = G^-T G^-1 its
+    Schur entries are alpha alpha' K(V)[e, e'], K(V)[(a,b),(c,d)] = s_ab s_cd
+    (V_ac V_bd + V_ad V_bc), s = 1/sqrt(2) on the diagonal and 1 off it, and
+    alpha svec(V F_j V)[e] with another row j.  Only the other rows are
+    unpacked and multiplied, in chunks of ``_CHUNK // k**2`` gathered
+    contiguously: by V into ``units[b][-1]``, or by G^-1 into ``svecs``, whose
+    Schur part is svecs^T svecs, on the blocks without unit rows (``full``).
     """
 
-    __slots__ = ("lay", "chunks", "svecs", "schur", "chol", "lam", "ginv", "rp_hat", "lyap",
-                 "unit", "d")
+    __slots__ = ("lay", "chunks", "units", "work", "full", "svecs", "schur", "chol", "lam",
+                 "ginv", "rp_hat", "lyap", "unit", "d")
 
     def __init__(self, lay: _Layout, a: np.ndarray):
-        # Unpacked first, while the buffers below do not yet add to its peak.
-        p, wides = a.shape[0], lay.wides(a)
-        self.lay, self.svecs = lay, np.empty((lay.w.size, p))
-        self.schur, self.chol = np.empty((p, p)), np.empty((p, p), order="F")
-        # factor writes only the diagonal blocks of ginv: its off-block zeros stay.
+        p = a.shape[0]
+        self.lay, self.units, wides, full = lay, {}, [], []
         self.lam, self.ginv = np.empty(lay.n), np.zeros((lay.n, lay.n))
-        steps = [max(1, _CHUNK // (k * k)) for k in lay.sizes]
-        u, t = (np.empty(max(k * k * min(p, m) for k, m in zip(lay.sizes, steps))) for _ in "ut")
-        # Per block and chunk of variables i0:i1: [F_i0 ... F_i1-1], the two
-        # product buffers, and the columns of svecs that the chunk fills.
-        self.chunks = []
-        for wide, k, m, (rows, _) in zip(wides, lay.sizes, steps, lay.gathers):
-            spans = [(i0, min(i0 + m, p)) for i0 in range(0, p, m)]
-            self.chunks.append([(wide[:, i0 * k:i1 * k], u[:k * k * (i1 - i0)].reshape(k, -1),
-                                 t[:k * k * (i1 - i0)].reshape(k, -1), self.svecs[rows, i0:i1])
-                                for i0, i1 in spans])
+        for b, ((rows, lower), k, off) in enumerate(zip(lay.gathers, lay.sizes, lay.offsets)):
+            one = np.count_nonzero(a[:, rows], axis=1) == 1 if k >= _UNIT_SIDE else None
+            dense = slice(None) if one is None or not one.any() else np.flatnonzero(~one)
+            # Unpacked first, while the buffers below do not yet add to its peak.
+            wides.append(smat(a[dense, rows], k).transpose(1, 0, 2).reshape(k, -1))
+            if isinstance(dense, slice):
+                full.append(np.arange(rows.start, rows.stop))
+                continue
+            unit = np.flatnonzero(one)
+            e = (a[unit, rows] != 0).argmax(axis=1)
+            ia, ib = (index[e] for index in svec_indices(k)[:2])
+            alpha, c = a[unit, rows.start + e], np.zeros(p)
+            c[unit] = alpha * np.where(ia == ib, 0.5**0.5, 1.0)
+            self.units[b] = (dense, unit, e, alpha, ia, ib, c, np.zeros((2, k, p)), a[dense, rows],
+                             rows, lower, self.ginv[off:off + k, off:off + k],
+                             np.empty((rows.stop - rows.start, dense.size)))
+        full = np.concatenate(full) if full else np.arange(0)
+        self.full, self.svecs = _run(full), np.empty((full.size, p))
+        self.schur, self.chol = np.empty((p, p)), np.empty((p, p), order="F")
+        # Buffers for the chunks' products and gathers, and for the unit rows' Schur rows.
+        need = [k * min(w.shape[1], k * max(1, _CHUNK // k**2)) for w, k in zip(wides, lay.sizes)]
+        self.work = u, t, _ = np.empty((3, max(need + [max(_CHUNK, p)] * bool(self.units))))
+        # Per block and chunk of its dense rows: [F_i0 ...], the two product
+        # buffers, the contiguous buffer the gather fills and the columns it lands in.
+        self.chunks, start = [], 0
+        for b, (wide, k, (rows, _)) in enumerate(zip(wides, lay.sizes, lay.gathers)):
+            size, m = rows.stop - rows.start, max(1, _CHUNK // (k * k))
+            dest = self.units[b][-1] if b in self.units else self.svecs[start:start + size]
+            start += size * (b not in self.units)
+            self.chunks.append([])
+            for i0 in range(0, dest.shape[1], m):
+                out, n = dest[:, i0:i0 + m], k * k * min(m, dest.shape[1] - i0)
+                gather = out if out.flags.c_contiguous else u[:out.size].reshape(out.shape)
+                self.chunks[-1].append((wide[:, i0 * k:i0 * k + n // k], u[:n].reshape(k, -1),
+                                        t[:n].reshape(k, -1), gather, out))
 
     def factor(self, s: np.ndarray, z: np.ndarray, rp: np.ndarray) -> None:
         """Scale at (s, z, rp); LinAlgError unless S, Z and the Schur complement are PD."""
         lay = self.lay
         s_full, z_full = lay.smat(s), lay.smat(z)
-        for chunks, k, off, (_, lower) in zip(self.chunks, lay.sizes, lay.offsets, lay.gathers):
+        for b, (chunks, k, off, (_, lower)) in enumerate(
+                zip(self.chunks, lay.sizes, lay.offsets, lay.gathers)):
             sub = slice(off, off + k)
             ls, info = lapack.dpotrf(s_full[sub, sub], lower=1)
             if info != 0:
@@ -226,23 +255,77 @@ class _Scaling:
             evals, q, info = lapack.dsyevd(ls.T @ z_full[sub, sub] @ ls, lower=1)
             if info != 0 or evals[0] <= 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
-            ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
-            # A chunk's congruences in two products: G^-1 [F_i0 ...] as rows
-            # (a, i), then G^-1 times its transpose gives t[c, a, i] =
-            # (G^-1 F_i G^-T)[a, c], so each svec entry is one row of t.
-            # Gathered while t is still in cache.
-            for wide, u, t, out in chunks:
-                np.matmul(ginv, wide, out=u)
-                np.matmul(ginv, u.reshape(-1, k).T, out=t)
-                np.take(t.reshape(k * k, -1), lower, axis=0, out=out, mode="clip")
+            g = ginv = lapack.dtrtrs(ls, q * evals[None, :] ** 0.25, lower=1, trans=1)[0].T
             self.lam[sub] = np.sqrt(evals)
             self.ginv[sub, sub] = ginv
-        self.svecs *= lay.w[:, None]
+            if b in self.units:
+                _, unit, _, _, ia, ib, _, (ta, tb), *_ = self.units[b]
+                g = ginv.T @ ginv  # V, exactly symmetric: numpy runs it as SYRK
+                ta[:, unit], tb[:, unit] = g[:, ia], g[:, ib]
+            # A chunk's congruences in two products: g [F_i0 ...] as rows (a, i),
+            # then g times its transpose gives t[c, a, i] = (g F_i g^T)[a, c], so
+            # each svec entry is one row of t.  Gathered while t is still in cache.
+            for wide, u, t, gather, out in chunks:
+                np.matmul(g, wide, out=u)
+                np.matmul(g, u.reshape(-1, k).T, out=t)
+                np.take(t.reshape(k * k, -1), lower, axis=0, out=gather, mode="clip")
+                if gather is not out:
+                    out[...] = gather
+        self.svecs *= lay.w[self.full, None]
         self.rp_hat = np.take(self.ginv @ lay.smat(rp) @ self.ginv.T, lay.lower) * lay.w
         lam_i, lam_j = self.lam[lay.i], self.lam[lay.j]
         self.lyap, self.unit = 2.0 / (lam_i + lam_j), 1.0 / np.sqrt(lam_i * lam_j)
         self.d = lay.eye * lam_i
-        _robust_cholesky(np.matmul(self.svecs.T, self.svecs, out=self.schur), self.chol)
+        schur = np.matmul(self.svecs.T, self.svecs, out=self.schur)
+        # Unit rows add whole rows of schur, in chunks: alpha svec(V F_j V)[e] at dense
+        # columns, and K(V) at unit ones from the tables ta = V[:, a'], tb = V[:, b'].
+        # Symmetric to rounding, exactly when every alpha is +-1.
+        for dense, unit, e, alpha, ia, ib, c, (ta, tb), a_dense, rows, *_, cross in (
+                self.units.values()):
+            cross *= lay.w[rows, None]
+            dd = a_dense @ cross
+            schur[np.ix_(dense, dense)] += 0.5 * (dd + dd.T)
+            step = max(1, self.work.shape[1] // c.size)
+            for r in (slice(r0, r0 + step) for r0 in range(0, unit.size, step)):
+                ku, x, y = (w[:unit[r].size * c.size].reshape(-1, c.size) for w in self.work)
+                np.take(ta, ia[r], axis=0, out=ku, mode="clip")
+                ku *= np.take(tb, ib[r], axis=0, out=x, mode="clip")
+                np.take(ta, ib[r], axis=0, out=x, mode="clip")
+                ku += np.multiply(x, np.take(tb, ia[r], axis=0, out=y, mode="clip"), out=x)
+                ku *= c
+                ku *= c[unit[r], None]
+                ku[:, dense] = alpha[r, None] * cross[e[r]]
+                schur[_run(unit[r])] += ku
+                schur[np.ix_(dense, unit[r])] += ku[:, dense].T
+        _robust_cholesky(schur, self.chol)
+
+    def apply(self, dy: np.ndarray) -> np.ndarray:
+        """The packed svec of G^-1 F(dy) G^-T, F(dy) = sum_i dy_i F_i."""
+        out = self.svecs @ dy
+        if self.units:
+            out, full = np.empty(self.lay.w.size), out
+            out[self.full] = full
+        for dense, unit, e, alpha, *_, a_dense, rows, lower, g, _ in self.units.values():
+            # Unit rows that share an entry add up in bincount.
+            f = smat(dy[dense] @ a_dense + np.bincount(e, alpha * dy[unit], a_dense.shape[1]))
+            out[rows] = np.take(g @ f @ g.T, lower) * self.lay.w[rows]
+        return out
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """<G^-1 F_i G^-T, smat(v)> for every variable i: the adjoint of :meth:`apply`."""
+        out = self.svecs.T @ v[self.full]
+        for dense, unit, e, alpha, *_, a_dense, rows, lower, g, _ in self.units.values():
+            m = np.take(g.T @ smat(v[rows]) @ g, lower) * self.lay.w[rows]
+            out[dense] += a_dense @ m
+            out[unit] += alpha * m[e]
+        return out
+
+
+def _run(index: np.ndarray) -> slice | np.ndarray:
+    """A sorted index array as the slice it spans, when it has no gaps."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
 
 
 def _residuals(lay, prog, y, s, z, f_scale, c_scale):
@@ -356,11 +439,11 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
 def _direction(sc, rd, rc):
     """Newton solve for packed centering rc: dy, svec(G^-1 dS G^-T), svec(G^T dZ G)."""
     x = sc.lyap * rc
-    rhs = sc.svecs.T @ (x - sc.rp_hat) - rd
+    rhs = sc.adjoint(x - sc.rp_hat) - rd
     dy = lapack.dpotrs(sc.chol, rhs, lower=1)[0]
     # One round of iterative refinement keeps late iterations accurate.
     dy += lapack.dpotrs(sc.chol, rhs - sc.schur @ dy, lower=1)[0]
-    ds = sc.svecs @ dy + sc.rp_hat
+    ds = sc.apply(dy) + sc.rp_hat
     return dy, ds, x - ds
 
 

@@ -24,7 +24,7 @@ from ripsharp.lmi import (
     verify_certificates,
 )
 from ripsharp.objective import RecoveryInstance, criticality_certificate, jacobian_mat
-from ripsharp.objective import rip_constant_fullspace
+from ripsharp.objective import rip_constant_fullspace, stationarity_rows
 
 # frozen from an independent convex-programming solver
 SHARP_DELTA = 0.49999999999643974
@@ -131,7 +131,8 @@ def test_certificates_on_solved_pair():
 def test_boundary_gram_is_feasible():
     # delta = 1 with the projector complement of the residual satisfies
     # every block, whatever the pair.  On the symmetric subspace the
-    # residual is e' = svec(x x^T - z z^T) and H' has side d(d+1)/2.
+    # residual is e' = svec(x x^T - z z^T) and H' has side d(d+1)/2; the
+    # program is posed on H'' = R H' R, in the residual-aligned frame R.
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 1))
     z = rng.standard_normal((4, 1))
@@ -140,7 +141,10 @@ def test_boundary_gram_is_feasible():
     resid = pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T
     e = svec(resid)
     h = np.eye(svec_dim(pair.d)) - np.outer(e, e) / float(e @ e)
-    y = np.concatenate([[1.0], prob.basis.T @ svec(h)])
+    h_frame = svec(prob.frame @ h @ prob.frame)
+    # H'' is stationary: the null-space basis reproduces it
+    assert np.linalg.norm(prob.basis @ (prob.basis.T @ h_frame) - h_frame) <= 1e-12
+    y = np.concatenate([[1.0], prob.basis.T @ h_frame])
     lay = sdp._layout(prob.cone.block_sizes)
     for role, value in zip(prob.roles, lay.blocks(prob.cone.f0 + y @ prob.cone.a)):
         assert np.linalg.eigvalsh(value)[0] >= -1e-12, role
@@ -325,8 +329,8 @@ def _program(lower, seed, shape=(4, 2)):
 
 
 def _vec_stack(prob, x):
-    """The null-space directions H'_k lifted to H_k = Q H'_k Q^T in vec coordinates."""
-    q = sym_basis(x.shape[0])
+    """The null-space directions H''_k lifted to H_k = Q R H''_k R Q^T in vec coordinates."""
+    q = sym_basis(x.shape[0]) @ prob.frame
     return q @ smat(prob.basis.T, prob.dim_h) @ q.T
 
 
@@ -374,16 +378,19 @@ def _explicit_blocks(prob, x, z, delta, h):
 
 @pytest.mark.parametrize("lower", [False, True])
 def test_cone_blocks_match_explicit_forms(lower):
-    # at a random stationary H', the null-space coordinates reproduce each
-    # block of the program in (delta, H)
+    # at a random stationary H'' = R H' R, the null-space coordinates
+    # reproduce each block of the program in (delta, H'); the gram blocks
+    # are posed on H'', so R maps them back
     prob, x, z, rng = _program(lower, 12)
     delta = 0.37
     h = smat(prob.basis @ rng.standard_normal(prob.basis.shape[1]), prob.dim_h)
     y = np.concatenate([[delta], prob.basis.T @ svec(h)])
-    expected = _explicit_blocks(prob, x, z, delta, h)
+    expected = _explicit_blocks(prob, x, z, delta, prob.frame @ h @ prob.frame)
     assert prob.roles == list(expected)
     lay = sdp._layout(prob.cone.block_sizes)
     for role, value in zip(prob.roles, lay.blocks(prob.cone.f0 + y @ prob.cone.a)):
+        if role != "curvature":
+            value = prob.frame @ value @ prob.frame
         want = expected[role]
         assert np.linalg.norm(value - want) <= 1e-12 * np.linalg.norm(want), role
 
@@ -417,6 +424,45 @@ def test_curvature_face_drops_rotation_null_space(lower, shape):
     assert face.shape == (x.size, x.size - r * (r - 1) // 2)
     assert np.abs(face.T @ face - np.eye(face.shape[1])).max() <= 1e-12
     assert np.abs(tangents @ face).max() <= 1e-12 * np.abs(tangents).max()
+
+
+def test_frame_aligns_the_residual():
+    # R is an orthogonal reflector that takes e' to the first axis, so the
+    # stationarity rows touch only the first column of H''
+    for lower in (False, True):
+        prob, x, z, _ = _program(lower, 15)
+        r, e = prob.frame, prob.evec
+        assert np.abs(r - r.T).max() == 0.0
+        assert np.abs(r @ r - np.eye(prob.dim_h)).max() <= 1e-14
+        assert np.abs((r @ e)[1:]).max() <= 1e-14 and abs(abs((r @ e)[0]) - 1.0) <= 1e-14
+        rows = stationarity_rows(r @ prob.jac, r @ e)
+        assert np.abs(rows[:, prob.dim_h:]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (5, 2), (6, 3), (8, 4)])
+def test_gram_blocks_carry_unit_rows(shape):
+    # every svec(H'') coordinate off the first column is a variable of its
+    # own: svec_dim(D) - D rows of each gram block with one entry, +1 in the
+    # lower block and -1 in the upper, which the solver takes by formula
+    # from side sdp._UNIT_SIDE on
+    rng = np.random.default_rng((0, 0))
+    pair = reduce(rng.standard_normal(shape), rng.standard_normal(shape))
+    prob = build_upper_lmi(pair)
+    side = prob.dim_h
+    lay = sdp._layout(prob.cone.block_sizes)
+    units = svec_dim(side) - side
+    for b, (role, sign) in enumerate((("gram-lower", 1.0), ("gram-upper", -1.0)), start=1):
+        assert prob.roles[b] == role
+        rows = prob.cone.a[:, lay.gathers[b][0]]
+        single = np.count_nonzero(rows, axis=1) == 1
+        assert single.sum() == units, (shape, role, single.sum())
+        assert np.all(rows[single].sum(axis=1) == sign)
+    scaling = sdp._Scaling(lay, prob.cone.a)
+    if side >= sdp._UNIT_SIDE:
+        assert sorted(scaling.units) == [1, 2]
+        assert all(scaling.units[b][1].size == units for b in (1, 2))
+    else:
+        assert not scaling.units
 
 
 def test_collinear_pair_keeps_only_gram_blocks():

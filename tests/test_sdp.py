@@ -187,32 +187,40 @@ def test_iteration_cap_reported(monkeypatch):
     assert res.iterations == 2
 
 
+def stalling_program():
+    # random_cone_program(5) with a seventh variable whose coefficients and
+    # cost are those of the first to 1e-7: the Schur complement is nearly
+    # singular, and the dual residual floors near 1e-8, above FEAS_TOL
+    base = random_cone_program(5)
+    rng = default_rng(55)
+    a = np.vstack([base.a, base.a[:1] + 1e-7 * rng.standard_normal(base.a.shape[1])])
+    c = np.append(base.c, base.c[0] * (1.0 + 1e-7))
+    lay = sdp._layout(base.block_sizes)
+    return ConeProgram(c, [(base.f0[rows], a[:, rows]) for rows, _ in lay.gathers])
+
+
 def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
-    # (5, 2) ecdf stream 29 sample 37, the only sample of streams 0-63 whose
-    # solve is accepted at the rounding floor: the iterate iteration 10
-    # checks is at the floor, the later iterates have dual residuals about
-    # 100x larger until the scaling fails at iteration 16; every cap from
-    # 10 returns that floor iterate
-    seen = []
-
-    def capture(prog, y0=None):
-        seen.append((prog, y0))
-        return solve(prog, y0=y0)
-
-    # the cone program and start point delta_exact passes to sdp.solve
-    with monkeypatch.context() as m:
-        m.setattr(lmi, "_solve_cone", capture)
-        lmi.delta_exact(*cli.draw_pair(5, 2, 29, 37))
-    prog, y0 = seen[0]
-    uncapped = solve(prog, y0=y0).iterations
+    # a solve accepted at the rounding floor: no iterate meets the strict
+    # rule, the iterate iteration 10 checks is the first at the floor, and
+    # the scaling fails at iteration 15; every cap from 10 returns the floor
+    # iterate with the smallest dual residual so far, and caps below 10
+    # find none.  None of the 398 sweep, 4000 (4, 1), 12800 (5, 2) and 480
+    # (6, 3) delta programs of the parity streams and seeds is
+    # floor-accepted, so the program is built to stall
+    prog = stalling_program()
+    uncapped = solve(prog)
+    assert uncapped.status == OPTIMAL and uncapped.iterations == 15
+    assert sdp.FEAS_TOL < uncapped.dinf <= sdp.STALL_DINF_TOL
+    monkeypatch.setattr(sdp, "ITERATION_LIMIT", 9)
+    assert solve(prog).status == MAX_ITERATIONS
     dinfs = []
     for limit in range(10, 26):
         monkeypatch.setattr(sdp, "ITERATION_LIMIT", limit)
-        res = solve(prog, y0=y0)
+        res = solve(prog)
         assert res.status == OPTIMAL, (limit, res.status)
         assert res.dinf <= sdp.STALL_DINF_TOL
         # iterations counts the iterations run, not the returned iterate's index
-        assert res.iterations == min(limit, uncapped), (limit, res.iterations)
+        assert res.iterations == min(limit, uncapped.iterations), (limit, res.iterations)
         dinfs.append(res.dinf)
     assert all(b <= a for a, b in zip(dinfs, dinfs[1:])), dinfs
 
@@ -391,12 +399,43 @@ def random_iterates(rng, prog, fill=None):
 
 
 def work_buffers(sc):
-    # the arrays every factor call overwrites: the two flat buffers that
-    # every chunk's products take views of, svecs, the Schur matrix and its factor
-    _, u, t, _ = sc.chunks[0][0]
-    assert all(np.shares_memory(u, cu) and np.shares_memory(t, ct)
-               for chunks in sc.chunks for _, cu, ct, _ in chunks)
-    return [u.base, t.base, sc.svecs, sc.schur, sc.chol]
+    # the arrays every factor call overwrites: the three work buffers that
+    # every chunk's products and gathers take views of, the svecs of the blocks
+    # without unit rows and the cross terms of those with, the Schur matrix and
+    # its factor
+    assert all(np.shares_memory(u, sc.work[0]) and np.shares_memory(t, sc.work[1])
+               and (gather is out or np.shares_memory(gather, sc.work[0]))
+               for chunks in sc.chunks for _, u, t, gather, out in chunks)
+    crosses = [unit[-1] for unit in sc.units.values()]
+    return [sc.work, sc.svecs, *crosses, sc.schur, sc.chol]
+
+
+def reference_map(prog, sc):
+    # the packed svecs of G^-1 F_i G^-T, one per column, from a loop over
+    # the coefficients: the map apply stands for, whatever path a row takes
+    lay = sc.lay
+    cols = [np.concatenate([svec(sc.ginv[sub, sub] @ f[i] @ sc.ginv[sub, sub].T)
+                            for (_, f), (_, sub) in zip(parts(prog), block_slices(lay))])
+            for i in range(prog.num_vars)]
+    return np.array(cols).T
+
+
+def planted_program(seed, sizes=(1, 3, 17, 21)):
+    # random blocks in which half the rows, not contiguous, have one entry:
+    # +-1 or another value, several of them at one svec position; blocks of
+    # side 1 and on both sides of sdp._UNIT_SIDE
+    rng = default_rng(seed)
+    p = 30
+    blocks = []
+    for k in sizes:
+        a = rng.standard_normal((p, svec_dim(k)))
+        unit = rng.permutation(p)[: p // 2]
+        a[unit] = 0.0
+        pos = rng.integers(0, svec_dim(k), unit.size)
+        pos[:3] = pos[3]
+        a[unit, pos] = rng.choice([1.0, -1.0, 0.3, -2.5], unit.size)
+        blocks.append((svec(5.0 * np.eye(k)), a))
+    return ConeProgram(rng.standard_normal(p), blocks)
 
 
 def random_direction(rng, lay, rd, sc):
@@ -418,28 +457,79 @@ def kernel_programs():
 
 
 def test_scaled_rows_match_per_coefficient_loop():
-    # the chunked products and their gathers give every column the svec of
-    # the lower triangle of G^-1 F_i G^-T, and the Schur matrix is svecs^T svecs
+    # the chunked products and their gathers give every column of svecs the
+    # svec of the lower triangle of G^-1 F_i G^-T on the blocks without unit
+    # rows, and the Schur matrix is the Gram matrix of the whole map
     rng = default_rng(16)
     for prog in kernel_programs():
         lay, _, _, sc = random_iterates(rng, prog)
-        for (_, coeffs), (rows, sub) in zip(parts(prog), block_slices(lay)):
-            ginv = sc.ginv[sub, sub]
-            ref = np.array([svec(ginv @ f @ ginv.T) for f in coeffs]).T
-            err = np.linalg.norm(sc.svecs[rows] - ref)
-            assert err <= 1e-13 * np.linalg.norm(ref), (prog.block_sizes, err)
-        assert np.array_equal(sc.schur, sc.svecs.T @ sc.svecs)
+        ref = reference_map(prog, sc)
+        full = ref[sc.full]
+        assert np.linalg.norm(sc.svecs - full) <= 1e-13 * np.linalg.norm(full), prog.block_sizes
+        schur = ref.T @ ref
+        err = np.linalg.norm(sc.schur - schur)
+        assert err <= 1e-13 * np.linalg.norm(schur), (prog.block_sizes, err)
+        assert np.array_equal(sc.schur, sc.schur.T)
+
+
+@pytest.mark.parametrize("unit_side", [1, 4, sdp._UNIT_SIDE])
+def test_unit_rows_match_per_coefficient_congruence(monkeypatch, unit_side):
+    # with unit rows taken by formula from side unit_side on, the Schur
+    # matrix, the map dy -> svec(G^-1 F(dy) G^-T) and its adjoint match the
+    # per-coefficient congruences to 1e-13, and the Newton direction solves
+    # the reference system
+    monkeypatch.setattr(sdp, "_UNIT_SIDE", unit_side)
+    rng = default_rng(23)
+    for seed in range(6):
+        prog = planted_program(seed)
+        lay, _, rd, sc = random_iterates(rng, prog)
+        assert sorted(sc.units) == [b for b, k in enumerate(prog.block_sizes) if k >= unit_side]
+        ref = reference_map(prog, sc)
+        schur = ref.T @ ref
+        assert np.linalg.norm(sc.schur - schur) <= 1e-13 * np.linalg.norm(schur), seed
+        dy, v = rng.standard_normal(prog.num_vars), rng.standard_normal(lay.w.size)
+        for got, want in ((sc.apply(dy), ref @ dy), (sc.adjoint(v), ref.T @ v)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), seed
+        rc = np.concatenate([svec(random_sym(rng, k)) for k in lay.sizes])
+        dy, ds, dz = sdp._direction(sc, rd, rc)
+        x = sc.lyap * rc
+        want = np.linalg.solve(schur, ref.T @ (x - sc.rp_hat) - rd)
+        assert np.linalg.norm(dy - want) <= 1e-11 * np.linalg.norm(want), seed
+        assert np.linalg.norm(ds - ref @ dy - sc.rp_hat) <= 1e-13 * np.linalg.norm(ds), seed
+        assert np.array_equal(dz, x - ds)
+
+
+def test_unit_rows_solve_as_congruences(monkeypatch):
+    # delta programs solved with the formula at every block side, and with
+    # the congruences at every side, end alike: the x = 0 program, whose
+    # three blocks of side 1 share one entry in every row, and (3, 1), (5, 2)
+    progs = [lmi.build_upper_lmi(lmi.reduce(np.zeros(3), np.array([1.0, 0.0, 0.0]))).cone,
+             delta_program(3, 1), delta_program(5, 2)]
+    assert progs[0].block_sizes == (1, 1, 1)
+    monkeypatch.setattr(sdp, "_UNIT_SIDE", 1)
+    unit = [solve(prog) for prog in progs]
+    monkeypatch.setattr(sdp, "_UNIT_SIDE", 10**9)
+    for prog, res in zip(progs, unit):
+        ref = solve(prog)
+        assert res.status == ref.status == OPTIMAL, (prog.block_sizes, res.status)
+        assert abs(res.iterations - ref.iterations) <= 1, (res.iterations, ref.iterations)
+        moved = abs(res.y[0] - ref.y[0])
+        assert moved <= max(1e-9, ref.gap), (prog.block_sizes, moved)
 
 
 def test_product_buffers_are_overwritten():
     # a scaling writes every entry of its buffers before it reads them, so
-    # one whose buffers start as NaN equals one whose buffers start as zeros
-    for seed, prog in enumerate(kernel_programs()):
+    # one whose buffers start as NaN equals one whose buffers start as zeros;
+    # every output buffer is written whole (the work buffers' tails may stay
+    # unused)
+    for seed, prog in enumerate(kernel_programs() + [planted_program(0)]):
         nan = random_iterates(default_rng(seed), prog, np.nan)[3]
         zero = random_iterates(default_rng(seed), prog, 0.0)[3]
-        assert not any(np.isnan(b).any() for b in work_buffers(nan)), seed
+        assert not any(np.isnan(b).any() for b in work_buffers(nan)[1:]), seed
         for name in ("svecs", "rp_hat", "lam", "ginv", "schur", "chol"):
             assert np.array_equal(getattr(nan, name), getattr(zero, name)), (seed, name)
+        for b in nan.units:
+            assert np.array_equal(nan.units[b][-1], zero.units[b][-1]), (seed, b)
 
 
 def test_product_buffers_kept_for_the_solve(monkeypatch):
@@ -472,19 +562,34 @@ def test_product_buffers_kept_for_the_solve(monkeypatch):
 
 def test_chunk_boundaries_do_not_move_the_solve(monkeypatch):
     # chunks of a few variables, the last one ragged, solve every program as
-    # the default chunks do: same status and iterations, delta within 1e-12
+    # the default chunks do: same status and iterations, delta within 1e-12;
+    # a block's chunks cover its dense rows, all rows but its unit rows
     progs = [delta_program(6, 3), delta_program(5, 2)]
     base = [solve(prog) for prog in progs]
     monkeypatch.setattr(sdp, "_CHUNK", 2000)
     for prog, ref in zip(progs, base):
         sc = sdp._Scaling(sdp._layout(prog.block_sizes), prog.a)
-        for chunks, k in zip(sc.chunks, prog.block_sizes):
+        for b, (chunks, k) in enumerate(zip(sc.chunks, prog.block_sizes)):
             widths = [out.shape[1] for *_, out in chunks]
             assert len(chunks) > 1 and widths[-1] < widths[0] == 2000 // (k * k), widths
-            assert sum(widths) == prog.num_vars
+            units = sc.units[b][1].size if b in sc.units else 0
+            assert sum(widths) + units == prog.num_vars
         res = solve(prog)
         assert res.status == ref.status == OPTIMAL and res.iterations == ref.iterations
         assert abs(res.y[0] - ref.y[0]) <= 1e-12, (prog.block_sizes, res.y[0] - ref.y[0])
+
+
+def test_chunks_gather_into_contiguous_buffers():
+    # a block that takes several chunks gathers each into a C-contiguous
+    # buffer and copies it once, never through a write-back temporary: at
+    # (6, 3) the curvature block takes two chunks
+    prog = delta_program(6, 3)
+    lay, _, _, sc = random_iterates(default_rng(24), prog)
+    assert len(sc.chunks[0]) == 2
+    for chunks in sc.chunks:
+        for *_, gather, out in chunks:
+            assert gather.flags.c_contiguous
+            assert gather is out or not np.shares_memory(gather, out)
 
 
 def test_solve_memory_bounded_by_program():
@@ -553,7 +658,8 @@ def test_direction_solves_scaled_newton_system():
         prog = random_cone_program(seed)
         lay, rp, rd, sc = random_iterates(rng, prog)
         dy, ds, dz = random_direction(rng, lay, rd, sc)
-        terms = [dz[rows] @ sc.svecs[rows] for rows, _ in block_slices(lay)]
+        ref = reference_map(prog, sc)
+        terms = [dz[rows] @ ref[rows] for rows, _ in block_slices(lay)]
         scale = np.linalg.norm(rd) + sum(np.linalg.norm(t) for t in terms)
         assert np.linalg.norm(sum(terms) - rd) <= rtol * scale, seed
         for (_, coeffs), rp_k, (rows, sub) in zip(parts(prog), lay.blocks(rp), block_slices(lay)):

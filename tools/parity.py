@@ -16,7 +16,9 @@ certificate violation.  It takes about 15 s at one BLAS thread on a 2-CPU x86-64
 ``compare`` prints every pair whose records differ and a summary, closed by
 one line per record field that differs: in how many pairs, and for
 ``max_violation`` how many of them rose and how many fell, and the largest
-after/before ratio, with its pair.  It exits
+after/before ratio, with its pair.  Then, per parity set (sweep, the (4,1)
+and (5,2) ecdf samples, rank 3), the total iterations and the median
+certificate digits, -log10 of the largest violation, before and after.  It exits
 1 when a pair is missing from either record, a status changed, or a delta
 moved by more than max(1e-9, BEFORE's final gap); other differences are
 reported only.
@@ -29,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import sys
 from collections import Counter
 
@@ -140,6 +143,18 @@ def compare(before_path: str, after_path: str) -> int:
         moved = (f" ({rose} rose, {count - rose} fell; largest after/before ratio "
                  f"{ratio[0]:.3g}, {ratio[1]})" if field == "max_violation" else "")
         print(f"{field}: differs in {count} pairs{moved}")
+    sets = {}
+    for name in names:
+        sets.setdefault(" ".join(name.split()[:1 + name.startswith("ecdf")]), []).append(name)
+    for group, members in sets.items():
+        iters, digits = [], []
+        for record in (old, new):
+            pairs = [record[name] for name in members if name in record]
+            iters.append(sum(pair["iterations"] for pair in pairs))
+            digits.append(statistics.median(-math.log10(max(pair["max_violation"], 1e-16))
+                                            for pair in pairs))
+        print(f"{group}: {len(members)} programs, iterations {iters[0]} -> {iters[1]}, "
+              f"median certificate digits {digits[0]:.2f} -> {digits[1]:.2f}")
     return 1 if missing or failed else 0
 
 
