@@ -218,22 +218,20 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     touch only the first column of ``H''``.  ``N`` is an orthonormal basis of
     their null space: the complement of their span there, from
     :func:`orth_complement`, then the identity on every other entry.  The
-    program is written packed: the gram blocks' svec rows for ``w`` are
-    ``N^T`` itself, one entry of +-1 for every ``w`` off the first column, and
-    the curvature block's are the svecs of :func:`objective.curvature_form`,
-    restricted to the face ``K``; off the first column ``H'' e'' = 0``, and a
-    row is the svec of ``M^T smat(e_ab) M``, ``M = R jac K``.  The curvature block is
-    zero, and dropped, when ``x`` and ``z`` are collinear and the null
-    space is empty.
+    program is written once, into one column-major array: the gram blocks'
+    svec rows for ``w`` are ``+-N^T``, one entry of +-1 for every ``w`` off the
+    first column, and the curvature block's are the svecs of
+    :func:`objective.curvature_form`, restricted to the face ``K``; off the
+    first column ``H'' e'' = 0``, and a row is the svec of ``M^T smat(e_ab) M``,
+    ``M = R jac K``.  The curvature block is zero, and dropped, when ``x`` and
+    ``z`` are collinear and the null space is empty.
     """
     x, z = pair.xhat, pair.zhat
     m, r = x.shape
     x, z, k = pow2_rescale(x, z)  # before any product, which could overflow
     e_norm = float(np.linalg.norm(x @ x.T - z @ z.T))
     if coincident(e_norm, max(float(np.sum(x * x)), float(np.sum(z * z)))):
-        raise NotSpuriousError(
-            "x x^T equals z z^T; every operator makes x a global optimum"
-        )
+        raise NotSpuriousError("x x^T equals z z^T; every operator makes x a global optimum")
     scale = e_norm**-0.5
     x, z = scale * x, scale * z
     q = sym_basis(m)
@@ -252,33 +250,34 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     basis = np.zeros((svec_dim(dim_h), svec_dim(dim_h) - dim_h + h))
     basis[:dim_h, :h], basis[dim_h:, h:] = head, np.eye(len(basis) - dim_h)
     face = _face(x)
+    # The program, allocated once and column-major: one row per variable, delta then w.
+    kc, kg, sizes = svec_dim(face.shape[1]), svec_dim(dim_h), (face.shape[1], dim_h, dim_h)
+    a = np.zeros((1 + basis.shape[1], kc + 2 * kg), order="F")
+    curv, unit = a[1:, :kc], a[1 + h:, :kc]
     # Curvature rows: the form at H' = R H'' R for the head; for a unit entry (a, b),
     # b >= 1, H'' e'' = 0 and the row is svec(M^T smat(e_ab) M), M = R jac K.
     stack = frame @ smat(basis[:, :h].T, dim_h) @ frame
     curvature = face.T @ curvature_form(jac, evec, stack, r) @ face
-    a, b, w = (index[dim_h:] for index in svec_indices(dim_h))
+    # Symmetrized before packing: the products are symmetric only to rounding.
+    curv[:h] = svec(0.5 * (curvature + curvature.transpose(0, 2, 1)))
+    ia, ib, w = (index[dim_h:] for index in svec_indices(dim_h))
     ka, kb, kw = svec_indices(face.shape[1])
     mk = frame @ jac @ face
-    unit_rows = mk[a][:, ka] * mk[b][:, kb] + mk[b][:, ka] * mk[a][:, kb]
-    unit_rows *= np.multiply.outer(0.5 * w, kw)
-    # Symmetrized before packing: the products above are symmetric only to rounding.
-    curv_rows = np.vstack([svec(0.5 * (curvature + curvature.transpose(0, 2, 1))), unit_rows])
+    np.multiply(mk[ia][:, ka], mk[ib][:, kb], out=unit)
+    swap = mk[ib][:, ka]  # the second product in place: one transient fewer
+    unit += np.multiply(swap, mk[ia][:, kb], out=swap)
+    unit *= np.multiply.outer(0.5 * w, kw)
     eye = svec(np.eye(dim_h))
-    # (role, svec(F0), rows svec(F_i) of the delta coefficient and the w coefficients)
-    blocks = [
-        ("curvature", np.zeros(curv_rows.shape[1]), np.pad(curv_rows, ((1, 0), (0, 0)))),
-        ("gram-lower", -eye, np.vstack([eye, basis.T])),
-        ("gram-upper", eye, np.vstack([eye, -basis.T])),
-    ]
-    if np.abs(curv_rows).max(initial=0.0) <= 1e-12:
-        del blocks[0]
-    c = np.zeros(1 + basis.shape[1])
-    c[0] = 1.0
+    a[0, kc:], a[1:, kc:kc + kg] = np.tile(eye, 2), basis.T
+    np.negative(basis.T, out=a[1:, kc + kg:])
+    f0 = np.concatenate([np.zeros(kc), -eye, eye])
+    if np.abs(curv).max(initial=0.0) <= 1e-12:
+        a, f0, sizes = a[:, kc:], f0[kc:], sizes[1:]
     return LmiProblem(
         dim_h=dim_h,
-        cone=ConeProgram(c=c, blocks=[(f0, a) for _, f0, a in blocks]),
+        cone=ConeProgram(np.eye(1, len(a))[0], f0, a, sizes),  # the objective is delta
         basis=basis,
-        roles=[name for name, *_ in blocks],
+        roles=["curvature", "gram-lower", "gram-upper"][3 - len(sizes):],
         jac=jac,
         evec=evec,
         frame=frame,

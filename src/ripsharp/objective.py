@@ -54,6 +54,11 @@ class MeasurementOperator:
         """n^2 x n^2 Gram matrix of the stacked operator."""
         return self.stacked.T @ self.stacked
 
+    @cached_property
+    def gram_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of :attr:`gram`, for ||A||^2 and the RIP constant."""
+        return np.linalg.eigvalsh(self.gram)
+
     @classmethod
     def from_stacked(cls, stacked: np.ndarray, n: int) -> "MeasurementOperator":
         stacked = np.asarray(stacked, dtype=float)
@@ -180,7 +185,7 @@ def criticality_certificate(
     """
     x = as_factor(x, "candidate", inst.z.shape)
     f, grad, hess = evaluate(inst, x)
-    op_sq = float(np.linalg.norm(inst.operator.stacked, 2) ** 2)
+    op_sq = float(inst.operator.gram_eigenvalues[-1])
     e_norm = float(np.linalg.norm(vec(x @ x.T - inst.z @ inst.z.T)))
     return CriticalityCertificate(
         f_value=f,
@@ -194,5 +199,4 @@ def criticality_certificate(
 def rip_constant_fullspace(op: MeasurementOperator) -> float:
     """Smallest delta with (1-delta)||M||^2 <= ||A(M)||^2 <= (1+delta)||M||^2
     over all of R^{n x n}, i.e. the eigenvalue spread of the Gram matrix."""
-    values = np.linalg.eigvalsh(op.gram)
-    return max(1.0 - float(values[0]), float(values[-1]) - 1.0, 0.0)
+    return max(1.0 - float(op.gram_eigenvalues[0]), float(op.gram_eigenvalues[-1]) - 1.0, 0.0)

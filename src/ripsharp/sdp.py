@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import smat, svec_dim, svec_indices, svec_side
+from .linalg import smat, svec_dim, svec_indices
 
 # Reuse the module if scipy.linalg is loaded already; find_spec imports nothing.
 _FLAPACK = "scipy.linalg._flapack"
@@ -73,34 +73,30 @@ _UNIT_SIDE = 16
 class ConeProgram:
     """Block LMI F0^k + sum_i y_i F_i^k >= 0 with linear objective c^T y, stored packed.
 
-    Built from ``(f0, a)`` pairs, one per block of side k >= 1: ``f0`` =
-    svec(F0) and ``a`` the (p, k(k+1)/2) rows svec(F_1) ... svec(F_p), all
-    finite, p >= 1.  Row i of ``a`` (p x sum k(k+1)/2) holds the blocks'
-    svec(F_i) side by side, and ``f0`` their svec(F0) in the same order.
+    Blocks of sides ``block_sizes``, each k >= 1, lie side by side: ``f0``
+    holds their svec(F0) in turn and row i of ``a`` (p x sum k(k+1)/2) their
+    svec(F_i), all finite, p >= 1.  The arrays are stored as given, but ``a``
+    column-major (copied if it is not): the solve's rounding depends on it.
     """
 
     __slots__ = ("c", "a", "f0", "block_sizes")
 
-    def __init__(self, c: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, c: np.ndarray, f0: np.ndarray, a: np.ndarray, block_sizes):
         self.c = np.asarray(c, dtype=float).reshape(-1)
+        self.f0, self.a = np.asarray(f0, dtype=float), np.asfortranarray(a, dtype=float)
+        self.block_sizes = tuple(int(k) for k in block_sizes)
         if not np.isfinite(self.c).all():
             raise ValueError("c must be finite")
-        if not blocks:
+        if not self.block_sizes:
             raise ValueError("program has no blocks")
+        if min(self.block_sizes) < 1:
+            raise ValueError("every block must have side at least 1")
         if not self.c.size:
             raise ValueError("program has no variables")
-        f0s, rows = zip(*[(np.asarray(f0, dtype=float), np.asarray(a, dtype=float))
-                          for f0, a in blocks])
-        self.block_sizes = tuple(svec_side(f0.size) for f0 in f0s)
-        for f0, a, k in zip(f0s, rows, self.block_sizes):
-            if f0.shape != (svec_dim(k),):
-                raise ValueError(f"F0 must be the svec of a square matrix, got shape {f0.shape}")
-            if not k:
-                raise ValueError("every block must have side at least 1")
-            if a.shape != (self.c.size,) + f0.shape:
-                raise ValueError(f"coefficients must be a {(self.c.size,) + f0.shape} array, "
-                                 f"one svec(F_i) per variable; got shape {a.shape}")
-        self.f0, self.a = np.concatenate(f0s), np.hstack(rows)
+        width = sum(svec_dim(k) for k in self.block_sizes)
+        if self.f0.shape != (width,) or self.a.shape != (self.c.size, width):
+            raise ValueError(f"blocks {self.block_sizes} take F0 of shape {(width,)}, coefficients "
+                             f"{(self.c.size, width)}; got {self.f0.shape} and {self.a.shape}")
         if not (np.isfinite(self.f0).all() and np.isfinite(self.a).all()):
             raise ValueError("F0 and coefficients must be finite")
 

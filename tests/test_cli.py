@@ -89,11 +89,25 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"rho_steps": "3"}, "rho_steps must be a finite number"),
         ({"rho_max": float("inf")}, "rho_max must be a finite number"),
         ({"out": str(tmp_path / "grid.csv")}, "unknown config fields: out"),
+        ({"rho_min": 1.5}, "need 0 <= rho_min < rho_max"),
+        ({"rho_min": 2.0}, "need 0 <= rho_min < rho_max"),
+        ({"phi_max": 90.5}, "need 0 <= phi_min < phi_max <= 90 degrees"),
     ]:
         write_sweep_config(cfg, **overrides)
         capsys.readouterr()
         assert cli.main(["sweep", "--config", str(cfg)] + out) == 1, overrides
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n", overrides
+    # a plan without one of its fields, and one that is not a JSON object
+    plan = write_sweep_config(cfg)
+    for text, message in [
+        (json.dumps({k: v for k, v in plan.items() if k != "phi_steps"}),
+         "missing config fields: phi_steps"),
+        (json.dumps(list(plan.values())), "expected a JSON object"),
+    ]:
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg)] + out) == 1, text
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n", text
     assert not (tmp_path / "grid.csv").exists()
 
 
@@ -225,6 +239,16 @@ def test_verify_rejects_mistyped_bundle(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["verify", "--instance", str(bundle)]) == 1, payload
         assert capsys.readouterr().err.startswith(f"error: {bundle}: "), payload
+    # an instance without its operator, and a bundle with no point and no --x
+    for payload, message in [
+        ({"instance": {k: v for k, v in inst.to_dict().items() if k != "A"}, "x": [0.0, 1.0]},
+         f"{bundle}: missing field 'A'"),
+        ({"instance": inst.to_dict()}, 'no candidate point: pass --x or bundle an "x" entry'),
+    ]:
+        bundle.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["verify", "--instance", str(bundle)]) == 1, payload
+        assert capsys.readouterr().err == f"error: {message}\n", payload
 
 
 @pytest.mark.filterwarnings("error")
@@ -286,10 +310,17 @@ def test_csv_independent_of_blas_threads(tmp_path):
         assert outputs[name, "1"] == outputs[name, "2"], name
 
 
-def test_missing_files_exit_one(tmp_path):
+def test_missing_files_exit_one(tmp_path, capsys):
     assert cli.main(["verify", "--instance", str(tmp_path / "absent.json")]) == 1
     argv = ["sweep", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 1
+    # a file that numpy cannot read as numbers is an input error that names it
+    x = tmp_path / "x.txt"
+    x.write_text("1 zero\n")
+    capsys.readouterr()
+    assert cli.main(["delta", "--x", str(x), "--z", str(x)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {x}: ") and "could not convert string 'zero'" in err, err
 
 
 def test_bad_flags_exit_one(capsys):
@@ -333,6 +364,10 @@ def test_unconverged_status_reported_and_exits_two(monkeypatch, capsys, status):
     assert status in capsys.readouterr().err
 
 
-def test_ecdf_validation():
+def test_ecdf_validation(capsys):
     assert cli.main(["ecdf", "--n", "1", "--r", "2", "--samples", "1", "--out", "x.csv"]) == 1
     assert cli.main(["ecdf", "--n", "4", "--r", "1", "--samples", "0", "--out", "x.csv"]) == 1
+    capsys.readouterr()
+    argv = ["ecdf", "--n", "4", "--r", "1", "--samples", "1", "--seed", "-1", "--out", "x.csv"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: need seed >= 0\n"

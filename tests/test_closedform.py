@@ -216,6 +216,8 @@ def test_local_threshold_domain():
         local_threshold(GOLDEN + 1e-6)
     with pytest.raises(ValueError):
         local_threshold(-1e-9)
+    with pytest.raises(ValueError, match=r"^delta must lie in \[0, 1\]$"):
+        sublevel_epsilon(1.5)
 
 
 def test_sublevel_epsilon_monotone():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from ripsharp.counterexample import generate_example, verify_example
+from ripsharp.errors import DegenerateInputError
 from ripsharp.lmi import STATUS_OPTIMAL, delta_exact
 from ripsharp.objective import criticality_certificate, evaluate
 
@@ -93,3 +94,5 @@ def test_scalar_ground_truth_rejected():
         generate_example(np.array([1.0]), seed=0)
     with pytest.raises(ValueError):
         generate_example(np.ones((3, 2)), seed=0)
+    with pytest.raises(DegenerateInputError, match="^ground truth z must be nonzero$"):
+        generate_example(np.zeros(3), seed=0)

@@ -4,6 +4,7 @@ import pytest
 
 from ripsharp.errors import NotPsdError
 from ripsharp.linalg import (
+    as_factor,
     as_float,
     as_int,
     factor_gram,
@@ -29,6 +30,14 @@ def test_number_check():
             as_int(bad, "k")
     with pytest.raises(ValueError, match="^k must be an integer$"):
         as_int(2.5, "k")
+
+
+def test_factor_check():
+    # a vector is read as one column; an empty array or one of three axes is no factor
+    assert as_factor([1.0, 2.0], "x").shape == (2, 1)
+    for bad in (np.zeros(0), np.zeros((0, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="^x must be a nonempty vector or matrix$"):
+            as_factor(bad, "x")
 
 
 def test_vec_mat_roundtrip():

@@ -111,6 +111,8 @@ def test_lower_program_rejects_bad_span(case, match):
 def test_span_basis_with_nan_rejected():
     with pytest.raises(ValueError, match="orthonormal"):
         ReducedPair(np.full((3, 1), np.nan), [[1.0]], [[0.5]])
+    with pytest.raises(ValueError, match="^span basis must be a matrix$"):
+        ReducedPair(np.ones(3), [[1.0]], [[0.5]])
 
 
 def test_certificates_on_solved_pair():
@@ -175,6 +177,8 @@ def test_equal_products_not_spurious():
     z = np.array([1.0, 2.0, 0.5])
     with pytest.raises(NotSpuriousError):
         delta_exact(z, z)
+    with pytest.raises(NotSpuriousError, match="^x and z are both zero; no span to reduce to$"):
+        reduce(np.zeros(3), np.zeros(3))
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-13, -1e-13, 1e-10, -1e-10, 1e-8, -1e-8])
@@ -473,6 +477,26 @@ def test_collinear_pair_keeps_only_gram_blocks():
     assert prob.roles == ["gram-lower", "gram-upper"]
 
 
+def test_build_memory_bounded_by_program():
+    # build_upper_lmi writes the packed program into one array, allocated once,
+    # with a few transients the size of its curvature rows: its traced peak,
+    # the returned program and N included, stays within 2.25x the packed
+    # coefficients (2.99x and 2.96x when the blocks were stacked, then copied)
+    for n, r in ((6, 3), (8, 4)):
+        rng = np.random.default_rng((0, 0))
+        pair = reduce(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
+        build_upper_lmi(pair)  # warm-up: the index tables and bases are cached per shape
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            prob = build_upper_lmi(pair)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * prob.cone.a.nbytes, ((n, r), peak / prob.cone.a.nbytes)
+
+
 def vec_program(pair):
     """The delta LMI with the gram matrix on all of R^{d^2}, from its definition.
 
@@ -499,7 +523,8 @@ def vec_program(pair):
     c = np.zeros(1 + basis.shape[1])
     c[0] = 1.0
     y0 = np.concatenate([[INITIAL_DELTA], basis.T @ svec(eye)])
-    return sdp.ConeProgram(c=c, blocks=[(svec(f0), svec(a)) for f0, a in blocks]), y0
+    f0s, rows = zip(*[(svec(f0), svec(a)) for f0, a in blocks])
+    return sdp.ConeProgram(c, np.concatenate(f0s), np.hstack(rows), (q, m, m)), y0
 
 
 def _pair(shape, seed):

@@ -189,6 +189,13 @@ def test_operator_rejects_nonfinite_matrices(bad):
         MeasurementOperator(a)
 
 
+def test_operator_rejects_non_stack():
+    # a stack of square matrices, not one matrix nor non-square ones
+    for shape in ((4, 4), (2, 2, 3)):
+        with pytest.raises(ValueError, match=r"^expected \(m, n, n\) matrices, got "):
+            MeasurementOperator(np.zeros(shape))
+
+
 def test_instance_json_roundtrip():
     # JSON writes the shortest repr of every float, so the text round trip is exact
     inst, _ = random_instance(12, 3, 1)

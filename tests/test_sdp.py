@@ -37,12 +37,15 @@ def random_cone_program(seed):
         coeffs[i, 2 * i + 1, 2 * i + 1] = -1.0
     blocks.append((f0, coeffs))
     c = rng.standard_normal(p)
-    return ConeProgram(c=c, blocks=packed(blocks))
+    return ConeProgram(c, *packed(blocks))
 
 
 def packed(blocks):
-    # (F0, (p, k, k) stack) pairs of symmetric matrices as the svec pairs ConeProgram takes
-    return [(svec(f0), svec(coeffs)) for f0, coeffs in blocks]
+    # (F0, (p, k, k) stack) pairs of symmetric matrices as the (f0, a,
+    # block_sizes) ConeProgram takes: their svecs side by side
+    f0s, stacks = zip(*blocks)
+    return (np.concatenate([svec(f0) for f0 in f0s]), np.hstack([svec(s) for s in stacks]),
+            [len(f0) for f0 in f0s])
 
 
 def parts(prog):
@@ -73,7 +76,7 @@ def analytic_program():
     eye = np.eye(2)
     lower = (target - eye, eye[None])
     upper = (eye - target, eye[None])
-    return ConeProgram(c=np.array([1.0]), blocks=packed([lower, upper]))
+    return ConeProgram(np.array([1.0]), *packed([lower, upper]))
 
 
 def test_reference_optima():
@@ -122,7 +125,7 @@ def test_analytic_dual_structure():
 
 def test_objective_rescaling():
     prog = random_cone_program(1)
-    scaled = ConeProgram(c=100.0 * prog.c, blocks=packed(parts(prog)))
+    scaled = ConeProgram(100.0 * prog.c, prog.f0, prog.a, prog.block_sizes)
     base = solve(prog)
     res = solve(scaled)
     assert res.status == OPTIMAL
@@ -133,10 +136,7 @@ def test_objective_rescaling():
 def test_constraint_rescaling():
     # scaling every block leaves the feasible set, hence the optimum
     prog = random_cone_program(2)
-    scaled = ConeProgram(
-        c=prog.c,
-        blocks=packed((100.0 * f0, 100.0 * coeffs) for f0, coeffs in parts(prog)),
-    )
+    scaled = ConeProgram(prog.c, 100.0 * prog.f0, 100.0 * prog.a, prog.block_sizes)
     base = solve(prog)
     res = solve(scaled)
     assert res.status == OPTIMAL
@@ -144,38 +144,40 @@ def test_constraint_rescaling():
 
 
 def test_block_rejects_mismatched_coefficients():
-    # one svec row of length k(k+1)/2 = 3 per variable, shaped like svec(F0)
+    # one packed svec row of length k(k+1)/2 = 3 per variable
     for coeffs in (np.zeros((1, 6)), np.zeros((1, 2)), np.zeros(3), np.zeros((2, 3)),
                    np.zeros((1, 2, 2))):
-        with pytest.raises(ValueError, match="coefficients must be a"):
-            ConeProgram(c=np.zeros(1), blocks=[(svec(np.eye(2)), coeffs)])
+        with pytest.raises(ValueError, match=r"blocks \(2,\) take F0 of shape \(3,\), "
+                                             r"coefficients \(1, 3\); got \(3,\) and"):
+            ConeProgram(np.zeros(1), svec(np.eye(2)), coeffs, (2,))
 
 
 def test_program_rejects_non_square_f0_and_no_blocks():
-    # svec(F0) of a square matrix is a vector of length k(k+1)/2
+    # F0 is the packed svec of the blocks, of length sum k(k+1)/2
     for f0 in (np.zeros(2), np.zeros(4), np.zeros((2, 2)), np.zeros((3, 1))):
-        with pytest.raises(ValueError, match="F0 must be the svec of a square matrix"):
-            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, f0.size)))])
+        with pytest.raises(ValueError, match=r"take F0 of shape \(3,\)"):
+            ConeProgram(np.zeros(1), f0, np.zeros((1, 3)), (2,))
+    with pytest.raises(ValueError, match=r"take F0 of shape \(4,\)"):
+        ConeProgram(np.zeros(1), np.zeros(3), np.zeros((1, 3)), (1, 2))
     with pytest.raises(ValueError, match="program has no blocks"):
-        ConeProgram(c=np.zeros(1), blocks=[])
-    # a block of side 0, alone or beside a proper one, and a program with no variables
-    for blocks in ([(np.zeros(0), np.zeros((1, 0)))],
-                   [(svec(np.eye(2)), np.zeros((1, 3))), (np.zeros(0), np.zeros((1, 0)))]):
+        ConeProgram(np.zeros(1), np.zeros(0), np.zeros((1, 0)), ())
+    # a block of side 0 or below, alone or beside a proper one, and a program with no variables
+    for sizes in ((0,), (2, 0), (-1,), (2, -1)):
         with pytest.raises(ValueError, match="every block must have side at least 1"):
-            ConeProgram(c=np.zeros(1), blocks=blocks)
+            ConeProgram(np.zeros(1), svec(np.eye(2)), np.zeros((1, 3)), sizes)
     with pytest.raises(ValueError, match="program has no variables"):
-        ConeProgram(c=np.zeros(0), blocks=[(svec(np.eye(2)), np.zeros((0, 3)))])
+        ConeProgram(np.zeros(0), svec(np.eye(2)), np.zeros((0, 3)), (2,))
     # a non-finite objective, F0 entry or coefficient, or start point
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="c must be finite"):
-            ConeProgram(c=np.array([bad]), blocks=[(svec(np.eye(2)), np.zeros((1, 3)))])
+            ConeProgram(np.array([bad]), svec(np.eye(2)), np.zeros((1, 3)), (2,))
         f0, coeffs = svec(np.eye(2)), np.zeros((1, 3))
         f0[1] = bad
         with pytest.raises(ValueError, match="F0 and coefficients must be finite"):
-            ConeProgram(c=np.zeros(1), blocks=[(f0, np.zeros((1, 3)))])
+            ConeProgram(np.zeros(1), f0, np.zeros((1, 3)), (2,))
         coeffs[0, 2] = bad
         with pytest.raises(ValueError, match="F0 and coefficients must be finite"):
-            ConeProgram(c=np.zeros(1), blocks=[(svec(np.eye(2)), coeffs)])
+            ConeProgram(np.zeros(1), svec(np.eye(2)), coeffs, (2,))
         with pytest.raises(ValueError, match="y0 must be a finite vector"):
             solve(analytic_program(), y0=np.array([bad]))
 
@@ -195,8 +197,7 @@ def stalling_program():
     rng = default_rng(55)
     a = np.vstack([base.a, base.a[:1] + 1e-7 * rng.standard_normal(base.a.shape[1])])
     c = np.append(base.c, base.c[0] * (1.0 + 1e-7))
-    lay = sdp._layout(base.block_sizes)
-    return ConeProgram(c, [(base.f0[rows], a[:, rows]) for rows, _ in lay.gathers])
+    return ConeProgram(c, base.f0, a, base.block_sizes)
 
 
 def test_iteration_cap_returns_best_floor_iterate(monkeypatch):
@@ -426,7 +427,7 @@ def planted_program(seed, sizes=(1, 3, 17, 21)):
     # side 1 and on both sides of sdp._UNIT_SIDE
     rng = default_rng(seed)
     p = 30
-    blocks = []
+    rows = []
     for k in sizes:
         a = rng.standard_normal((p, svec_dim(k)))
         unit = rng.permutation(p)[: p // 2]
@@ -434,8 +435,9 @@ def planted_program(seed, sizes=(1, 3, 17, 21)):
         pos = rng.integers(0, svec_dim(k), unit.size)
         pos[:3] = pos[3]
         a[unit, pos] = rng.choice([1.0, -1.0, 0.3, -2.5], unit.size)
-        blocks.append((svec(5.0 * np.eye(k)), a))
-    return ConeProgram(rng.standard_normal(p), blocks)
+        rows.append(a)
+    f0 = np.concatenate([svec(5.0 * np.eye(k)) for k in sizes])
+    return ConeProgram(rng.standard_normal(p), f0, np.hstack(rows), sizes)
 
 
 def random_direction(rng, lay, rd, sc):
@@ -674,7 +676,7 @@ def test_scaling_rejects_non_pd_dual():
     # a Z that is not positive definite fails the NT scaling, so the
     # solve takes the step-failure path instead of stepping on
     prog = random_cone_program(0)
-    prog = ConeProgram(c=prog.c, blocks=packed(parts(prog)[:1]))
+    prog = ConeProgram(prog.c, *packed(parts(prog)[:1]))
     lay = sdp._layout(prog.block_sizes)
     size = lay.n
     indefinite = np.eye(size)
@@ -712,30 +714,41 @@ def test_block_order_does_not_move_optimum():
     for seed in range(10):
         prog = random_cone_program(seed)
         base = solve(prog)
-        pairs = packed(parts(prog))
+        pairs = parts(prog)
         for blocks in (pairs[::-1], pairs[1:] + pairs[:1]):
-            res = solve(ConeProgram(c=prog.c, blocks=blocks))
+            res = solve(ConeProgram(prog.c, *packed(blocks)))
             assert res.status == OPTIMAL, (seed, res.status)
             bound = max(1e-9, base.gap, res.gap)
             assert abs(res.pobj - base.pobj) <= bound, (seed, res.pobj - base.pobj, bound)
 
 
 def test_coefficient_view_shares_memory():
-    # one stored program, in svec coordinates: a has one column per svec
-    # entry, each block's f0 and rows are stored side by side as given, and
-    # its block side is read from their length
+    # one stored program, in svec coordinates: f0 and a column-major a are
+    # stored as given, not copied, and a has one column per svec entry of
+    # the blocks, side by side
     rng = default_rng(21)
     p, sizes = 4, (3, 1, 5)
-    blocks = [(rng.standard_normal(svec_dim(k)), rng.standard_normal((p, svec_dim(k))))
-              for k in sizes]
-    prog = ConeProgram(c=np.ones(p), blocks=blocks)
+    width = sum(svec_dim(k) for k in sizes)
+    f0, a = rng.standard_normal(width), np.asfortranarray(rng.standard_normal((p, width)))
+    prog = ConeProgram(np.ones(p), f0, a, sizes)
     assert prog.block_sizes == sizes
-    assert prog.a.shape == (p, sum(svec_dim(k) for k in sizes))
-    assert prog.f0.shape == (prog.a.shape[1],)
+    assert prog.f0 is f0 and prog.a is a
     lay = sdp._layout(prog.block_sizes)
-    for (f0, a), (rows, _) in zip(blocks, lay.gathers):
-        assert np.array_equal(prog.f0[rows], f0)
-        assert np.array_equal(prog.a[:, rows], a)
+    assert [rows.stop - rows.start for rows, _ in lay.gathers] == [svec_dim(k) for k in sizes]
+    assert lay.gathers[-1][0].stop == prog.a.shape[1] == prog.f0.size
+
+
+def test_stored_coefficients_are_column_major():
+    # the solve's rounding depends on the order of a: the delta programs are
+    # written column-major, and a C-ordered a is stored as a column-major copy
+    # of the same values; with a C-ordered a, delta moves at the rounding level
+    # in most of the parity programs
+    for shape in ((3, 1), (5, 2), (6, 3)):
+        assert delta_program(*shape).a.flags.f_contiguous, shape
+    a = default_rng(22).standard_normal((4, 9))
+    prog = ConeProgram(np.ones(4), np.zeros(9), a, (2, 3))
+    assert a.flags.c_contiguous and prog.a.flags.f_contiguous
+    assert np.array_equal(prog.a, a)
 
 
 # Prints the iterations summed over the 12 (6, 3) certify-rank3 pairs of seed 0.
