@@ -153,7 +153,7 @@ class SdpSolution:
 
     ``h`` is in vec coordinates of the factors the program was built on (the
     span basis, for ``delta_exact``) and is the identity off the symmetric
-    matrices; ``iterations`` counts the iterations run, as in ``sdp.solve``.
+    matrices; ``iterations`` is the ``sdp.solve`` count, the stopping one included.
     """
 
     delta: float

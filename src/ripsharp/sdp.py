@@ -55,9 +55,6 @@ STEP_FAILURE = "step-failure"
 GAP_TOL = 1e-9
 FEAS_TOL = 1e-9
 PRIMAL_FEAS_TOL = 1e-10
-# Ceilings for accepting a numerically stalled iterate.
-STALL_GAP_TOL = 1e-8
-STALL_DINF_TOL = 1e-6
 ITERATION_LIMIT = 200
 
 # Fraction-to-boundary factor for accepted steps.
@@ -107,7 +104,8 @@ class ConeProgram:
 
 @dataclass
 class SolveResult:
-    """What :func:`solve` returns; ``iterations`` counts the iterations run."""
+    """What :func:`solve` returns: the last iterate with its gap, residuals and
+    objectives, and the ``iterations`` run, the one that stopped the solve included."""
 
     y: np.ndarray
     duals: list[np.ndarray]
@@ -348,13 +346,9 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     ``PRIMAL_FEAS_TOL`` and the scaled dual one within ``FEAS_TOL``.  It
     stops short as ``step-failure`` when the NT scaling fails (S or Z is
     not positive definite) or the Schur complement cannot be factored, or
-    as ``max-iterations`` after ``ITERATION_LIMIT`` iterations; then, of
-    the iterates at the rounding floor (gap within ``STALL_GAP_TOL``,
-    primal infeasibility within ``FEAS_TOL``, dual within
-    ``STALL_DINF_TOL``), the one with the smallest dual infeasibility, if
-    any, is returned as ``optimal``; ``iterations`` still counts all
-    iterations run, so it exceeds that iterate's index.  The duals are the
-    per-block PSD multipliers.
+    as ``max-iterations`` after ``ITERATION_LIMIT`` iterations, and
+    returns the last iterate either way.  The duals are the per-block PSD
+    multipliers.
     """
     p = prog.num_vars
     y = np.zeros(p) if y0 is None else np.asarray(y0, dtype=float).copy()
@@ -376,7 +370,6 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
     f_scale = 1.0 + max(float(np.linalg.norm(prog.f0[rows])) for rows, _ in lay.gathers)
     status = MAX_ITERATIONS
     it = 0
-    floor, floor_dinf = None, STALL_DINF_TOL
 
     for it in range(1, ITERATION_LIMIT + 1):
         rp, rd, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog, y, s, z, f_scale, c_scale)
@@ -385,12 +378,6 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         if gap <= GAP_TOL * gap_scale and pinf <= PRIMAL_FEAS_TOL and dinf <= FEAS_TOL:
             status = OPTIMAL
             break
-        # At degenerate optima the dual residual floors at the rounding
-        # level of the Newton system, a few orders above the target, and
-        # then only gathers rounding; of the iterates where complementarity
-        # and primal feasibility made it, the one with the smallest is kept.
-        if gap <= STALL_GAP_TOL * gap_scale and pinf <= FEAS_TOL and dinf <= floor_dinf:
-            floor, floor_dinf = (y, s, z), dinf
 
         try:
             sc.factor(s, z, rp)
@@ -409,15 +396,11 @@ def solve(prog: ConeProgram, y0: np.ndarray | None = None) -> SolveResult:
         dy, ds, dz = _direction(sc, rd, sigma * mu * lay.eye - sc.d**2 - cross)
         ap, ad = (min(1.0, STEP_SHRINK * t) for t in _max_steps(lay, sc.unit, ds, dz))
         # Only the accepted step is unscaled; S moves along dy.F + rp, so F(y) - S stays affine.
-        # Out of place: the floor iterate keeps references to y, s and z.
-        y = y + ap * dy
-        s = s + ap * (dy @ prog.a + rp)
-        z = z + ad * lay.svec(sc.ginv.T @ lay.smat(dz) @ sc.ginv)
-
-    # An optimal break leaves y, s and z where the residuals above were taken.
-    if status != OPTIMAL:
-        if floor is not None:
-            (y, s, z), status = floor, OPTIMAL
+        y += ap * dy
+        s += ap * (dy @ prog.a + rp)
+        z += ad * lay.svec(sc.ginv.T @ lay.smat(dz) @ sc.ginv)
+    else:
+        # The cap: the last step moved y, s and z past the residuals above.
         _, _, gap, pinf, dinf, pobj, dobj = _residuals(lay, prog, y, s, z, f_scale, c_scale)
     return SolveResult(
         y=y,

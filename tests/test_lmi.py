@@ -626,36 +626,9 @@ def test_lifted_solution_passes_certificates(n, r, seed):
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
 
 
-@pytest.mark.parametrize(
-    "stream,index",
-    [(4, 86), (2, 65), (4, 58), (6, 55), (8, 23), (10, 70), (14, 92)]
-    + [(3, 69), (6, 13), (8, 54), (12, 0), (6, 22), (9, 55)],
-)
-def test_former_step_failures_are_certified(stream, index):
-    # (5, 2) ecdf samples that ended in a step failure, or stopped just
-    # above the gap floor, before the curvature block was facially reduced;
-    # then those whose solve returned the latest iterate at the rounding
-    # floor, with a dual residual far above that of an earlier one
-    x, z = cli.draw_pair(5, 2, stream, index)
-    sol = delta_exact(x, z)
-    assert sol.status == STATUS_OPTIMAL
-    rep = verify_certificates(sol, reduce(x, z))
-    assert rep.max_violation() <= _certificate_bound(x, z, sol)
-
-
-@pytest.mark.parametrize(
-    "rho,phi",
-    [(1.4, 10), (1.4, 45), (1.6, 25), (1.7, 20), (1.7, 40), (1.7, 45), (1.8, 20), (1.9, 40)],
-)
-def test_floor_sweep_points_are_certified(rho, phi, monkeypatch):
-    # criterion-4 grid points whose solve ended at the rounding floor before
-    # the steps were taken in the scaled frame; now each meets the clean
-    # stopping rule.  The values are those of cli.sweep_grid: these differ
-    # from the literals in the last bit, and the literals take another
-    # solver path
-    rho = float(np.linspace(0, 2, 21)[round(10 * rho)])
-    phi = float(np.linspace(0, 90, 19)[round(phi / 5)])
-    x, z = canonical_pair(rho, np.deg2rad(phi))
+def _assert_certified_at_strict_rule(x, z, monkeypatch):
+    # delta_exact(x, z) is optimal and certified, and the sdp.solve result it
+    # was built from meets the strict stopping rule
     results = []
 
     def capture(prog, y0=None):
@@ -667,9 +640,37 @@ def test_floor_sweep_points_are_certified(rho, phi, monkeypatch):
     assert sol.status == STATUS_OPTIMAL
     (res,) = results
     assert res.gap <= sdp.GAP_TOL * max(1.0, abs(res.pobj), abs(res.dobj)), res.gap
-    assert res.pinf <= sdp.FEAS_TOL and res.dinf <= sdp.FEAS_TOL, (res.pinf, res.dinf)
+    assert res.pinf <= sdp.PRIMAL_FEAS_TOL and res.dinf <= sdp.FEAS_TOL, (res.pinf, res.dinf)
     rep = verify_certificates(sol, reduce(x, z))
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
+
+
+@pytest.mark.parametrize(
+    "stream,index",
+    [(4, 86), (2, 65), (4, 58), (6, 55), (8, 23), (10, 70), (14, 92)]
+    + [(3, 69), (6, 13), (8, 54), (12, 0), (6, 22), (9, 55)],
+)
+def test_former_step_failures_are_certified(stream, index, monkeypatch):
+    # (5, 2) ecdf samples that ended in a step failure, or stopped just
+    # above the gap floor, before the curvature block was facially reduced;
+    # then those whose solve returned the latest iterate at the rounding
+    # floor, with a dual residual far above that of an earlier one
+    _assert_certified_at_strict_rule(*cli.draw_pair(5, 2, stream, index), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "rho,phi",
+    [(1.4, 10), (1.4, 45), (1.6, 25), (1.7, 20), (1.7, 40), (1.7, 45), (1.8, 20), (1.9, 40)],
+)
+def test_floor_sweep_points_are_certified(rho, phi, monkeypatch):
+    # criterion-4 grid points whose solve ended at the rounding floor before
+    # the steps were taken in the scaled frame; now each meets the strict
+    # stopping rule.  The values are those of cli.sweep_grid: these differ
+    # from the literals in the last bit, and the literals take another
+    # solver path
+    rho = float(np.linspace(0, 2, 21)[round(10 * rho)])
+    phi = float(np.linspace(0, 90, 19)[round(phi / 5)])
+    _assert_certified_at_strict_rule(*canonical_pair(rho, np.deg2rad(phi)), monkeypatch)
 
 
 @pytest.mark.parametrize("shape", [(4, 1), (5, 2), (6, 3)], ids=["4x1", "5x2", "6x3"])
