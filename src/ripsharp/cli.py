@@ -201,7 +201,7 @@ def verify_report(inst: RecoveryInstance, x: np.ndarray) -> str:
         summary.append(f"delta(x,z)={sol.delta:.3f}")
         report = lmi.verify_certificates(sol, lmi.reduce(x, inst.z))
         detail.append(
-            f"delta certificate: duality gap {sol.gap:.3g}, "
+            f"delta certificate: duality gap {report.gap:.3g}, "
             f"max residual {report.max_violation():.3g}"
         )
     return "\n".join([", ".join(summary)] + detail)

@@ -15,12 +15,11 @@ orthonormal basis ``Q = sym_basis(d)``.  Compression keeps
 ``(1 -/+ delta) I`` (Cauchy interlacing), and so does the extension
 rule ``B (M - I) B^T + I`` (``M`` on the span of the orthonormal columns
 of ``B``, the identity off it).  So the programs are posed on ``H'`` of
-side ``d(d+1)/2``.  The rule has two users: ``solve_lmi`` extends ``H'``
-with ``B = Q``, and ``recover_minimizer`` extends ``H`` with ``B = P kron P``;
-``verify_certificates`` uses Q only.  In these coordinates (``J' = Q^T J``,
-``e' = Q^T e``) the criticality maps are ``objective``'s:
-``stationarity_rows``, the Hessian form ``curvature_form`` and its adjoint
-``curvature_adjoint``, which the dual equation reads.  The stationarity
+side ``d(d+1)/2``, and solved and checked there.  The rule has one user:
+``recover_minimizer`` extends ``H'`` with ``B = (P kron P) Q``.  In these
+coordinates (``J' = Q^T J``, ``e' = Q^T e``) the criticality maps are
+``objective``'s: ``stationarity_rows``, the Hessian form ``curvature_form``
+and its adjoint ``curvature_adjoint``, which the dual equation reads.  The stationarity
 condition ``J'^T H' e' = 0`` is a set of linear rows on ``svec(H')``.  Each
 program is posed on ``H'' = R H' R`` for the reflector ``R`` that takes
 ``e'`` to a multiple of the first axis, so the rows touch only the first
@@ -59,7 +58,7 @@ import numpy as np
 
 from .errors import NotSpuriousError
 from .linalg import RANK_RTOL, as_factor, coincident, factor_gram, orth_complement, smat, svec
-from .linalg import pow2_rescale, svec_dim, svec_indices, svec_side, sym, sym_basis
+from .linalg import pow2_rescale, svec_dim, svec_indices, sym, sym_basis
 from .objective import MeasurementOperator, curvature_adjoint, curvature_form, jacobian_mat
 from .objective import stationarity_rows
 from .sdp import MAX_ITERATIONS as STATUS_MAX_ITERATIONS
@@ -139,7 +138,8 @@ class LmiProblem:
 
 @dataclass
 class DualVariables:
-    """Multipliers (y, U1, U2, V) certifying the optimum from below."""
+    """Multipliers (y, U1, U2, V) certifying the optimum from below, with
+    the gram duals U1 and U2 in the svec coordinates of ``H'``."""
 
     y: np.ndarray
     u1: np.ndarray
@@ -151,17 +151,19 @@ class DualVariables:
 class SdpSolution:
     """Solved program: sharpest delta, gram matrix, and dual certificate.
 
-    ``h`` is in vec coordinates of the factors the program was built on (the
-    span basis, for ``delta_exact``) and is the identity off the symmetric
-    matrices; ``iterations`` is the ``sdp.solve`` count, the stopping one included.
+    ``h`` is ``H' = Q^T H Q``, of side ``d(d+1)/2``, in the svec coordinates of
+    the factors the program was built on (the span basis, for ``delta_exact``),
+    and so are the gram duals.  ``gap`` is the last iterate's complementarity
+    ``<S, Z>``, which bounds nothing on a short stop; ``CertificateReport.gap``
+    is the certificate's own.  ``iterations`` counts the stopping one too.
     """
 
     delta: float
     h: np.ndarray
-    dual: DualVariables | None
+    dual: DualVariables
     gap: float
     status: str
-    iterations: int = 0
+    iterations: int
 
 
 @dataclass
@@ -170,15 +172,15 @@ class CertificateReport:
 
     Keys: ``stationarity``, ``curvature-psd``, ``gram-lower``,
     ``gram-upper`` for the primal rows; ``dual-trace``, ``dual-equation``
-    and the three ``dual-*-psd`` cone checks when a dual is present.  All
-    are taken once, in the span frame the program was solved in, and
-    ``scale`` = max(1, largest multiplier norm, ||xhat xhat^T - zhat zhat^T||_F),
-    which the checks grow with.
+    and the three ``dual-*-psd`` cone checks.  All are taken once, in the
+    span frame the program was solved in.  ``gap`` is
+    ``delta - (tr U1 - tr U2)``, and ``scale`` = max(1, largest multiplier
+    norm, ||xhat xhat^T - zhat zhat^T||_F), which the checks grow with.
     """
 
     checks: dict[str, float]
-    gap: float | None
-    scale: float = 1.0
+    gap: float
+    scale: float
 
     def max_violation(self) -> float:
         return max(self.checks.values(), default=0.0)
@@ -309,25 +311,24 @@ def build_lower_lmi(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> LmiProblem:
 def solve_lmi(prob: LmiProblem) -> SdpSolution:
     """Solve an assembled program and recover the full set of multipliers.
 
-    The gram matrix is lifted to vec coordinates as ``B (H'' - I) B^T + I``,
-    ``B = Q R``, the gram duals as ``B U B^T`` and the curvature dual as ``K V K^T``.
-    The multipliers of the scaled program are mapped back to the given
-    factors: ``y`` by ``scale^3`` and ``V`` by ``scale^2``.
+    The gram matrix ``H' = R smat(N w) R`` and the gram duals ``R U R`` are
+    returned in the svec coordinates of ``H'``; the curvature dual is lifted
+    from the face as ``K V K^T``.  The multipliers of the scaled program are
+    mapped back to the given factors: ``y`` by ``scale^3`` and ``V`` by
+    ``scale^2``.
     """
     # Start from the identity gram matrix projected onto the null space.
     y0 = np.concatenate([[INITIAL_DELTA], prob.basis.T @ svec(np.eye(prob.dim_h))])
     res = _solve_cone(prob.cone, y0=y0)
     delta_raw = float(res.y[0])
-    q = sym_basis(svec_side(prob.dim_h)) @ prob.frame
-    h = _extend(smat(prob.basis @ res.y[1:], prob.dim_h), q)
-    face = prob.face
+    frame, face = prob.frame, prob.face
     by_role = dict(zip(prob.roles, res.duals))
     v = face @ by_role.get("curvature", np.zeros((face.shape[1],) * 2)) @ face.T
     c = prob.scale
     dual = DualVariables(
         y=c**3 * _recover_multiplier(prob, v, by_role),
-        u1=sym(q @ by_role["gram-lower"] @ q.T),
-        u2=sym(q @ by_role["gram-upper"] @ q.T),
+        u1=sym(frame @ by_role["gram-lower"] @ frame),
+        u2=sym(frame @ by_role["gram-upper"] @ frame),
         v=sym(c**2 * v),
     )
     status = res.status
@@ -335,7 +336,7 @@ def solve_lmi(prob: LmiProblem) -> SdpSolution:
         status = STATUS_NOT_BELOW_ONE
     return SdpSolution(
         delta=float(np.clip(delta_raw, 0.0, 1.0)),
-        h=sym(h),
+        h=sym(frame @ smat(prob.basis @ res.y[1:], prob.dim_h) @ frame),
         dual=dual,
         gap=res.gap,
         status=status,
@@ -347,7 +348,7 @@ def delta_exact(x: np.ndarray, z: np.ndarray) -> SdpSolution:
     """Sharpest isometry constant admitting ``x`` as a spurious critical point.
 
     Solves the reduced program on the joint span.  The gram matrix and
-    the multipliers refer to the span basis of ``reduce(x, z)``.
+    the multipliers are in svec coordinates of the span basis of ``reduce(x, z)``.
     """
     return solve_lmi(build_upper_lmi(reduce(x, z)))
 
@@ -355,62 +356,52 @@ def delta_exact(x: np.ndarray, z: np.ndarray) -> SdpSolution:
 def recover_minimizer(sol: SdpSolution, pair: ReducedPair) -> MeasurementOperator:
     """Measurement operator whose gram matrix is the solved one extended.
 
-    The rows are a factor of ``B (H - I) B^T + I`` for ``B = P kron P``,
-    so ``A^T A`` is ``H`` on the span and the identity off it.  The row
-    count is its numerical rank, ``rank(H) + n^2 - d^2``.
+    The rows are a factor of ``B (H' - I) B^T + I`` for ``B = (P kron P) Q``,
+    so ``A^T A`` is ``H'`` on the symmetric matrices of the span and the
+    identity off them.  The row count is its numerical rank,
+    ``rank(H') + n^2 - d(d+1)/2``.  This is the one lift to vec coordinates.
     """
     if sol.status != STATUS_OPTIMAL:
         raise ValueError(f"minimizer requires an optimal solution, got {sol.status!r}")
-    rows = factor_gram(_extend(sol.h, np.kron(pair.p, pair.p)))
+    b, h = np.kron(pair.p, pair.p) @ sym_basis(pair.d), sol.h
+    rows = factor_gram(b @ (h - np.eye(len(h))) @ b.T + np.eye(len(b)))
     return MeasurementOperator.from_stacked(rows, pair.n)
 
 
 def verify_certificates(primal: SdpSolution, pair: ReducedPair) -> CertificateReport:
     """Residuals of every feasibility row the solution claims to satisfy.
 
-    Checks the primal rows, and the dual rows when a dual is attached, once,
-    in the frame the program was solved in: factors ``xhat`` and ``zhat``,
-    ``H`` and the multipliers as :func:`solve_lmi` returns them, and
-    ``Q = sym_basis(d)``.  No ambient row is lost, for ``delta >= 0``: off the
-    span the extension rule adds gram eigenvalues 1, inside
-    ``[1 - delta, 1 + delta]``, and dual eigenvalues 0, and for the part U of a
-    direction there the Hessian gains ``||x U^T + U x^T||^2 >= 0`` with no
-    cross terms.  So ``pair.p`` is never read.  Pure report: nothing is
-    thresholded away, nothing raises.
+    Checks every primal and dual row once, in the frame the program was
+    solved in: factors ``xhat`` and ``zhat``, and ``H'`` and the multipliers
+    as :func:`solve_lmi` returns them, in the svec coordinates of ``sym_basis(d)``.
+    No ambient row is lost, for ``delta >= 0``: the extension rule adds gram
+    eigenvalues 1, inside ``[1 - delta, 1 + delta]``, and dual eigenvalues 0,
+    and for the part U of a direction off the span the Hessian gains
+    ``||x U^T + U x^T||^2 >= 0`` with no cross terms.  So ``pair.p`` is never
+    read.  Pure report: nothing is thresholded away, nothing raises.
     """
     r, x, z = pair.r, pair.xhat, pair.zhat
     h = sym(np.asarray(primal.h, dtype=float))
     delta = float(primal.delta)
-    dual = primal.dual
+    y, u1, u2, v = primal.dual.y, primal.dual.u1, primal.dual.u2, primal.dual.v
     gram_eigs = np.linalg.eigvalsh(h)
-    # The criticality maps see only H' = Q^T H Q, in svec coordinates.
-    q = sym_basis(pair.d)
-    jac, evec, h_s = q.T @ jacobian_mat(x), svec(x @ x.T - z @ z.T), q.T @ h @ q
-    curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac, evec, h_s, r)))
+    jac, evec = sym_basis(pair.d).T @ jacobian_mat(x), svec(x @ x.T - z @ z.T)
+    curv_eigs = np.linalg.eigvalsh(sym(curvature_form(jac, evec, h, r)))
+    # 2r times the stationarity rows' adjoint at y, less the curvature form's at V.
+    rows = stationarity_rows(jac, evec)
+    lhs = 2.0 * r * smat(rows.T @ y) - curvature_adjoint(jac, evec, v, r)
     checks = {
-        "stationarity": float(np.abs(jac.T @ (h_s @ evec)).max()),
+        "stationarity": float(np.abs(jac.T @ (h @ evec)).max()),
         "curvature-psd": max(0.0, -float(curv_eigs[0])),
         "gram-lower": max(0.0, (1.0 - delta) - float(gram_eigs[0])),
         "gram-upper": max(0.0, float(gram_eigs[-1]) - (1.0 + delta)),
+        "dual-trace": abs(float(np.trace(u1) + np.trace(u2)) - 1.0),
+        "dual-equation": float(np.abs(lhs - (u1 - u2)).max()),
     }
-    gap, sizes = None, []
-    if dual is not None:
-        y, u1, u2, v = dual.y, dual.u1, dual.u2, dual.v
-        # 2r times the stationarity rows' adjoint at y, less the curvature form's at V.
-        rows = stationarity_rows(jac, evec)
-        lhs = 2.0 * r * smat(rows.T @ y) - curvature_adjoint(jac, evec, v, r)
-        checks["dual-trace"] = abs(float(np.trace(u1) + np.trace(u2)) - 1.0)
-        checks["dual-equation"] = float(np.abs(q @ lhs @ q.T - (u1 - u2)).max())
-        for name, m in (("curvature", v), ("gram-lower", u1), ("gram-upper", u2)):
-            checks[f"dual-{name}-psd"] = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
-        gap = delta - float(np.trace(u1) - np.trace(u2))
-        sizes = [np.linalg.norm(m) for m in (y, u1, u2, v)]
-    return CertificateReport(checks, gap, float(max(1.0, *sizes, np.linalg.norm(evec))))
-
-
-def _extend(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``B (M - I) B^T + I``: ``M`` on the span of B's orthonormal columns, I off it."""
-    return b @ (m - np.eye(m.shape[0])) @ b.T + np.eye(b.shape[0])
+    for name, m in (("curvature", v), ("gram-lower", u1), ("gram-upper", u2)):
+        checks[f"dual-{name}-psd"] = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+    sizes = [float(np.linalg.norm(m)) for m in (y, u1, u2, v, evec)]
+    return CertificateReport(checks, delta - float(np.trace(u1) - np.trace(u2)), max(1.0, *sizes))
 
 
 def _face(x: np.ndarray) -> np.ndarray:

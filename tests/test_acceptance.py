@@ -12,6 +12,7 @@ from numpy.random import default_rng
 from scipy.optimize import minimize_scalar
 
 from ripsharp import cli, closedform, counterexample, lmi, objective, sdp
+from ripsharp.linalg import sym_basis
 
 _CAPSYS = None
 
@@ -282,8 +283,8 @@ def test_criterion_08_operator_recovery():
         pair = lmi.reduce(x, z)
         op = lmi.recover_minimizer(sol, pair)
         n = pair.n
-        pp = np.kron(pair.p, pair.p)
-        h_full = pp @ sol.h @ pp.T + np.eye(n * n) - pp @ pp.T
+        b = np.kron(pair.p, pair.p) @ sym_basis(pair.d)
+        h_full = b @ sol.h @ b.T + np.eye(n * n) - b @ b.T
         worst_gram = max(worst_gram, float(np.linalg.norm(op.gram - h_full)))
         worst_rip = max(worst_rip, abs(objective.rip_constant_fullspace(op) - sol.delta))
     ok = worst_gram <= 1e-8 and worst_rip <= 1e-6

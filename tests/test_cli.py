@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ripsharp
-from ripsharp import cli, sdp
+from ripsharp import cli, lmi, sdp
 from ripsharp.counterexample import generate_example
 from ripsharp.errors import SolverError
 from ripsharp.objective import MeasurementOperator, RecoveryInstance
@@ -185,6 +185,10 @@ def test_counterexample_bundle_roundtrip(tmp_path, capsys):
     first = outp.splitlines()[0]
     assert first.startswith("RIP 0.500000, spurious second-order critical")
     assert "delta(x,z)=0.500" in first
+    # the printed gap is the certificate's own, delta - (tr U1 - tr U2)
+    x = np.asarray(payload["x"], dtype=float)
+    report = lmi.verify_certificates(lmi.delta_exact(x, inst.z), lmi.reduce(x, inst.z))
+    assert f"delta certificate: duality gap {report.gap:.3g}, " in outp
 
 
 def test_verify_global_minimum_branch(tmp_path, capsys):

@@ -11,6 +11,7 @@ from ripsharp.errors import NotSpuriousError
 from ripsharp.linalg import coincident, mat, orth_complement, smat, svec, svec_dim, sym, sym_basis, vec
 from ripsharp.lmi import (
     INITIAL_DELTA,
+    DualVariables,
     STATUS_NOT_BELOW_ONE,
     STATUS_OPTIMAL,
     ReducedPair,
@@ -156,6 +157,13 @@ def test_boundary_gram_is_feasible():
     assert np.linalg.norm(grad) <= 1e-12
 
 
+def _zero_dual(pair):
+    """All-zero multipliers of the shapes ``solve_lmi`` returns for ``pair``."""
+    dim, dr = svec_dim(pair.d), pair.d * pair.r
+    gram = np.zeros((dim, dim))
+    return DualVariables(np.zeros(dr), gram, gram.copy(), np.zeros((dr, dr)))
+
+
 def test_certificates_flag_gram_violation():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 1))
@@ -163,10 +171,11 @@ def test_certificates_flag_gram_violation():
     pair = reduce(x, z)
     fake = SdpSolution(
         delta=0.1,
-        h=2.0 * np.eye(pair.d**2),
-        dual=None,
+        h=2.0 * np.eye(svec_dim(pair.d)),
+        dual=_zero_dual(pair),
         gap=0.0,
         status=STATUS_OPTIMAL,
+        iterations=0,
     )
     rep = verify_certificates(fake, pair)
     assert abs(rep.checks["gram-upper"] - 0.9) <= 1e-12
@@ -226,14 +235,15 @@ def test_zero_candidate_hits_unit_bound():
 
 
 def _check_recovered(sol, pair):
-    """The operator's gram is ``sol.h`` on the span and the identity off it."""
+    """The operator's gram is ``sol.h`` on the symmetric matrices of the span
+    and the identity off them."""
     op = recover_minimizer(sol, pair)
     n = pair.n
-    pp = np.kron(pair.p, pair.p)
-    h_full = pp @ sol.h @ pp.T + np.eye(n * n) - pp @ pp.T
+    b = np.kron(pair.p, pair.p) @ sym_basis(pair.d)
+    h_full = b @ sol.h @ b.T + np.eye(n * n) - b @ b.T
     assert np.linalg.norm(op.gram - h_full) <= 1e-10
     rank = int(np.sum(np.linalg.eigvalsh(sol.h) > 1e-9))
-    assert op.m == rank + n * n - pair.d**2
+    assert op.m == rank + n * n - svec_dim(pair.d)
     return op
 
 
@@ -248,16 +258,18 @@ def test_recovered_operator_matches_gram(shape):
 
 
 def test_recovered_operator_from_singular_gram():
-    # a rank-2 PSD gram matrix: factor_gram drops its two zero eigenvalues,
-    # so H contributes two rows and the identity off the span the rest
+    # a rank-2 PSD 3 x 3 gram matrix H': factor_gram drops its zero eigenvalue,
+    # so H' contributes two rows and the identity off the symmetric matrices
+    # of the span the rest
     rng = np.random.default_rng(8)
     pair = reduce(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)))
-    g = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
-    sol = SdpSolution(delta=0.5, h=g @ g.T, dual=None, gap=0.0, status=STATUS_OPTIMAL)
+    g = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    sol = SdpSolution(delta=0.5, h=g @ g.T, dual=_zero_dual(pair), gap=0.0,
+                      status=STATUS_OPTIMAL, iterations=0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(sol.h)
     op = _check_recovered(sol, pair)
-    assert op.m == 2 + pair.n**2 - pair.d**2
+    assert op.m == 2 + pair.n**2 - svec_dim(pair.d)
 
 
 def test_recovered_operators_pass_the_criticality_certificate():
@@ -280,8 +292,8 @@ def test_recover_requires_optimal():
     z = rng.standard_normal((3, 1))
     pair = reduce(x, z)
     bad = SdpSolution(
-        delta=1.0, h=np.eye(pair.d**2), dual=None, gap=0.0,
-        status=STATUS_NOT_BELOW_ONE,
+        delta=1.0, h=np.eye(svec_dim(pair.d)), dual=_zero_dual(pair), gap=0.0,
+        status=STATUS_NOT_BELOW_ONE, iterations=0,
     )
     with pytest.raises(ValueError):
         recover_minimizer(bad, pair)
@@ -559,11 +571,6 @@ def test_certificate_scale_in_both_frames(t):
     assert (rep.scale > 1e6) == (t < 1.0)
     assert rep.max_relative_violation() == rep.max_violation() / rep.scale
     assert rep.max_relative_violation() <= 1e-8
-    # without a dual only the residual sets the scale
-    rep = verify_certificates(dataclasses.replace(sol, dual=None), pair)
-    residual = max(1.0, np.linalg.norm(pair.xhat @ pair.xhat.T - pair.zhat @ pair.zhat.T))
-    assert abs(rep.scale - residual) <= 1e-12 * residual
-    assert rep.max_relative_violation() <= 1e-8
 
 
 def test_certificate_report_memory_is_free_of_n():
@@ -616,12 +623,9 @@ def test_lifted_solution_passes_certificates(n, r, seed):
     pair = reduce(x, z)
     d = pair.d
     assert sol.status == STATUS_OPTIMAL
-    assert sol.h.shape == sol.dual.u1.shape == sol.dual.u2.shape == (d * d, d * d)
+    dim = svec_dim(d)
+    assert sol.h.shape == sol.dual.u1.shape == sol.dual.u2.shape == (dim, dim)
     assert sol.dual.v.shape == (d * r, d * r)
-    # the lifted gram matrix is the identity on vec of skew matrices
-    k = np.random.default_rng(seed).standard_normal((d, d))
-    skew = vec(k - k.T)
-    assert np.abs(sol.h @ skew - skew).max() <= 1e-12 * np.abs(skew).max()
     rep = verify_certificates(sol, pair)
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
 
@@ -643,6 +647,9 @@ def _assert_certified_at_strict_rule(x, z, monkeypatch):
     assert res.pinf <= sdp.PRIMAL_FEAS_TOL and res.dinf <= sdp.FEAS_TOL, (res.pinf, res.dinf)
     rep = verify_certificates(sol, reduce(x, z))
     assert rep.max_violation() <= _certificate_bound(x, z, sol)
+    # the certificate returned in the svec coordinates of H' has the dual
+    # objective the program reached
+    assert abs(rep.gap - (res.pobj - res.dobj)) <= 1e-12, (rep.gap, res.pobj, res.dobj)
 
 
 @pytest.mark.parametrize(
@@ -694,13 +701,13 @@ def test_builders_are_scale_invariant(shape):
 
 @pytest.mark.parametrize("n,r,seed", [(4, 1, 20), (5, 2, 22), (6, 3, 24)])
 def test_ambient_solution_passes_certificates(n, r, seed):
-    # the ambient program's gram matrix and multipliers are all in vec
+    # the ambient program's gram matrix and multipliers are all in svec
     # coordinates of R^n, so they certify the pair with the basis I_n
     x, z = _pair((n, r), seed)
     pair = reduce(x, z)
     sol = solve_lmi(build_lower_lmi(x, z, pair.p))
     assert sol.status == STATUS_OPTIMAL
-    assert sol.h.shape == sol.dual.u1.shape == (n * n, n * n)
+    assert sol.h.shape == sol.dual.u1.shape == (svec_dim(n), svec_dim(n))
     ambient = ReducedPair(np.eye(n), pair.p @ pair.xhat, pair.p @ pair.zhat)
     rep = verify_certificates(sol, ambient)
     assert rep.max_violation() <= _certificate_bound(x, z, sol)

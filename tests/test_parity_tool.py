@@ -73,3 +73,18 @@ def test_missing_pair_fails(tmp_path, capsys):
     assert "3 identical, 0 differ (0 of them in status or delta), 1 missing from one record" in out
     # a set that is empty in one record still gets its summary line
     assert "rank3: 1 programs, iterations 9 -> 0" in out and "; optimal 1 -> 0\n" in out
+
+
+def test_largest_violation_per_set(tmp_path, capsys):
+    # each set's summary gives its largest max_violation, before -> after; a
+    # violation that moved is reported, not failed
+    before, after = pairs(), pairs()
+    before["sweep rho=1 phi=10"]["max_violation"] = 4e-10
+    after["sweep rho=1 phi=15"]["max_violation"] = 2.5e-9
+    after["rank3 0/0"]["max_violation"] = 3e-13
+    code, out = compare(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "max_violation: differs in 3 pairs (1 rose, 2 fell;" in out
+    assert "sweep: 2 programs" in out and ", largest violation 4e-10 -> 2.5e-09; optimal" in out
+    assert ", largest violation 1e-12 -> 1e-12; infeasible" in out
+    assert ", largest violation 1e-12 -> 3e-13; optimal 1 -> 1\n" in out

@@ -9,17 +9,20 @@ the 120 (6,3) pairs of seeds 0-9 that the certify-rank3 benchmark draws:
 2318 programs.  ``record`` builds and solves each one with the ``ripsharp``
 found on ``PYTHONPATH`` (point it at another checkout's ``src`` to record
 that one) and writes, per pair, the sha256 of the cone program's ``c``,
-``a`` and ``f0``, the status, delta as ``float.hex``, the final gap, the
-iterations, the sha256 of the multiplier ``dual.y`` and the largest
-certificate violation.  It takes about 13 s at one BLAS thread on a 2-CPU x86-64 machine.
+``a`` and ``f0``, the status, delta as ``float.hex``, the final gap (the
+last iterate's complementarity ``<S, Z>``, ``SdpSolution.gap``, not the
+certificate's ``CertificateReport.gap``), the iterations, the sha256 of the
+multiplier ``dual.y`` and the largest certificate violation.  It takes
+about 13 s at one BLAS thread on a 2-CPU x86-64 machine.
 
 ``compare`` prints every pair whose records differ and a summary, closed by
 one line per record field that differs: in how many pairs, and for
 ``max_violation`` how many of them rose and how many fell, and the largest
 after/before ratio, with its pair.  Then, per parity set (sweep, the (4,1)
 and (5,2) ecdf samples, rank 3), the total iterations, the median
-certificate digits, -log10 of the largest violation, and the count of each
-status, before and after, so a solve that stopped short shows.  It exits
+certificate digits (-log10 of a pair's largest violation), the set's
+largest violation, and the count of each status, before and after, so a
+solve that stopped short shows.  It exits
 1 when a pair is missing from either record, a status changed, or a delta
 moved by more than max(1e-9, BEFORE's final gap); other differences are
 reported only.
@@ -148,17 +151,19 @@ def compare(before_path: str, after_path: str) -> int:
     for name in names:
         sets.setdefault(" ".join(name.split()[:1 + name.startswith("ecdf")]), []).append(name)
     for group, members in sets.items():
-        iters, digits, statuses = [], [], []
+        iters, digits, worst, statuses = [], [], [], []
         for record in (old, new):
             pairs = [record[name] for name in members if name in record]
             iters.append(sum(pair["iterations"] for pair in pairs))
             digits.append(statistics.median(-math.log10(max(pair["max_violation"], 1e-16))
                                             for pair in pairs) if pairs else math.nan)
+            worst.append(max((pair["max_violation"] for pair in pairs), default=math.nan))
             statuses.append(Counter(pair["status"] for pair in pairs))
         counts = ", ".join(f"{status} {statuses[0][status]} -> {statuses[1][status]}"
                            for status in sorted(statuses[0].keys() | statuses[1].keys()))
         print(f"{group}: {len(members)} programs, iterations {iters[0]} -> {iters[1]}, "
-              f"median certificate digits {digits[0]:.2f} -> {digits[1]:.2f}; {counts}")
+              f"median certificate digits {digits[0]:.2f} -> {digits[1]:.2f}, "
+              f"largest violation {worst[0]:.3g} -> {worst[1]:.3g}; {counts}")
     return 1 if missing or failed else 0
 
 
