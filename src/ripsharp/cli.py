@@ -411,7 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):
+            exc = "the pair's scale leaves the solve's float range"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -117,11 +117,12 @@ class LmiProblem:
     multiple of the first axis.  The orthonormal columns of ``basis`` span
     the ``svec(H'')`` that satisfy the stationarity rows ``jac^T H' evec =
     0``, and ``cone`` is posed in ``y = (delta, w)`` with ``svec(H'') =
-    basis @ w``; its objective is delta.  ``roles[k]`` names block ``k`` of
-    ``cone`` (``curvature``, ``gram-lower``, ``gram-upper``); the curvature block is dropped when
-    it is zero.  It is compressed to the orthonormal columns of ``face``
-    (``K``, ``m r - r(r-1)/2`` of them).  ``jac``, ``evec``, ``face``
-    and ``scale`` are kept so the multipliers can be recovered.
+    basis @ w``; its objective is delta.  ``basis`` is a view of ``cone.a``, its
+    gram-lower rows for ``w`` transposed: the head of N, then the unit rows,
+    last, where the solver's rule reads them.  ``roles[k]`` names the blocks
+    (``curvature``, ``gram-lower``, ``gram-upper``); the curvature block, dropped
+    when zero, is compressed to the columns of ``face`` (``K``, ``m r - r(r-1)/2``
+    of them).  ``jac``, ``evec``, ``face`` and ``scale`` recover the multipliers.
     """
 
     dim_h: int
@@ -220,13 +221,13 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     touch only the first column of ``H''``.  ``N`` is an orthonormal basis of
     their null space: the complement of their span there, from
     :func:`orth_complement`, then the identity on every other entry.  The
-    program is written once, into one column-major array: the gram blocks'
-    svec rows for ``w`` are ``+-N^T``, one entry of +-1 for every ``w`` off the
-    first column, and the curvature block's are the svecs of
-    :func:`objective.curvature_form`, restricted to the face ``K``; off the
-    first column ``H'' e'' = 0``, and a row is the svec of ``M^T smat(e_ab) M``,
-    ``M = R jac K``.  The curvature block is zero, and dropped, when ``x`` and
-    ``z`` are collinear and the null space is empty.
+    program is written once, into one column-major array whose rows are delta,
+    the head of N, then the unit rows, one +-1 for every ``w`` off the first
+    column.  The gram blocks' rows for ``w`` are ``+-N^T``, N's one copy, and
+    the curvature block's the svecs of :func:`objective.curvature_form`,
+    restricted to the face ``K``; off the first column ``H'' e'' = 0``, and a
+    row is the svec of ``M^T smat(e_ab) M``, ``M = R jac K``.  Collinear ``x``
+    and ``z`` leave the null space empty and the curvature block zero, dropped.
     """
     x, z = pair.xhat, pair.zhat
     m, r = x.shape
@@ -249,16 +250,16 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     # column: N is their null space there, then the identity on every other entry.
     head = orth_complement(stationarity_rows(frame @ jac, e_frame)[:, :dim_h].T)
     h = head.shape[1]
-    basis = np.zeros((svec_dim(dim_h), svec_dim(dim_h) - dim_h + h))
-    basis[:dim_h, :h], basis[dim_h:, h:] = head, np.eye(len(basis) - dim_h)
     face = _face(x)
-    # The program, allocated once and column-major: one row per variable, delta then w.
+    # The program, column-major, allocated once: rows delta, then w, whose gram-lower part is N^T.
     kc, kg, sizes = svec_dim(face.shape[1]), svec_dim(dim_h), (face.shape[1], dim_h, dim_h)
-    a = np.zeros((1 + basis.shape[1], kc + 2 * kg), order="F")
-    curv, unit = a[1:, :kc], a[1 + h:, :kc]
+    a = np.zeros((1 + kg - dim_h + h, kc + 2 * kg), order="F")
+    curv, unit, lower = a[1:, :kc], a[1 + h:, :kc], a[1:, kc:kc + kg]
+    lower[:h, :dim_h] = head.T
+    np.fill_diagonal(lower[h:, dim_h:], 1.0)
     # Curvature rows: the form at H' = R H'' R for the head; for a unit entry (a, b),
     # b >= 1, H'' e'' = 0 and the row is svec(M^T smat(e_ab) M), M = R jac K.
-    stack = frame @ smat(basis[:, :h].T, dim_h) @ frame
+    stack = frame @ smat(lower[:h], dim_h) @ frame
     curvature = face.T @ curvature_form(jac, evec, stack, r) @ face
     # Symmetrized before packing: the products are symmetric only to rounding.
     curv[:h] = svec(0.5 * (curvature + curvature.transpose(0, 2, 1)))
@@ -270,15 +271,15 @@ def build_upper_lmi(pair: ReducedPair) -> LmiProblem:
     unit += np.multiply(swap, mk[ia][:, kb], out=swap)
     unit *= np.multiply.outer(0.5 * w, kw)
     eye = svec(np.eye(dim_h))
-    a[0, kc:], a[1:, kc:kc + kg] = np.tile(eye, 2), basis.T
-    np.negative(basis.T, out=a[1:, kc + kg:])
+    a[0, kc:] = np.tile(eye, 2)
+    np.negative(lower, out=a[1:, kc + kg:])
     f0 = np.concatenate([np.zeros(kc), -eye, eye])
     if np.abs(curv).max(initial=0.0) <= 1e-12:
         a, f0, sizes = a[:, kc:], f0[kc:], sizes[1:]
     return LmiProblem(
         dim_h=dim_h,
         cone=ConeProgram(np.eye(1, len(a))[0], f0, a, sizes),  # the objective is delta
-        basis=basis,
+        basis=lower.T,
         roles=["curvature", "gram-lower", "gram-upper"][3 - len(sizes):],
         jac=jac,
         evec=evec,

@@ -9,8 +9,9 @@ and a Mehrotra predictor-corrector step.  Directions, step lengths and
 the corrector are taken in the NT-scaled frame, where S and Z are one
 diagonal matrix; only the accepted step is unscaled.  All blocks are dense;
 the Schur complement is assembled explicitly and factored by Cholesky,
-which is the right trade for the small matrices this package produces, and
-the rows with one nonzero entry in a large block take their Schur entries by
+which is the right trade for the small matrices this package produces.  A
+large block's trailing rows with one nonzero entry (a delta program's rows run
+delta, the head of N, then these unit rows) take their Schur entries by
 formula, not by congruence (Fujisawa, Kojima and Nakata, Math. Prog. 1997).
 Programs, iterates and directions are packed svecs, all blocks side by side
 (:class:`_Layout`), so every symmetric quantity is symmetric by construction.
@@ -180,11 +181,12 @@ class _Scaling:
     ``chol`` its lower Cholesky factor, in Fortran order.  Per svec entry
     (i, j), X = lyap * R with ``lyap`` = 2 / (lam_i + lam_j) solves
     (X D + D X)/2 = R, and ``unit`` = (lam_i lam_j)^-1/2 maps a step to
-    D^-1/2 step D^-1/2.  In a block of side k >= ``_UNIT_SIDE``, a row with one
-    nonzero alpha, at svec position e, is a unit row: with V = G^-T G^-1 its
-    Schur entries are alpha alpha' K(V)[e, e'], K(V)[(a,b),(c,d)] = s_ab s_cd
-    (V_ac V_bd + V_ad V_bc), s = 1/sqrt(2) on the diagonal and 1 off it, and
-    alpha svec(V F_j V)[e] with another row j.  Only the other rows are
+    D^-1/2 step D^-1/2.  In a block of side k >= ``_UNIT_SIDE``, the unit rows
+    ``split:`` are the trailing run of rows with one nonzero alpha, at svec
+    position e (``lmi`` writes delta, the head of N, then them): with V = G^-T
+    G^-1 their Schur entries are alpha alpha' K(V)[e, e'], K(V)[(a,b),(c,d)] =
+    s_ab s_cd (V_ac V_bd + V_ad V_bc), s = 1/sqrt(2) on the diagonal and 1 off
+    it, and alpha svec(V F_j V)[e] with a dense row j.  Only the dense rows are
     unpacked and multiplied, in chunks of ``_CHUNK // k**2`` gathered
     contiguously: by V into ``units[b][-1]``, or by G^-1 into ``svecs``, whose
     Schur part is svecs^T svecs, on the blocks without unit rows (``full``).
@@ -198,23 +200,22 @@ class _Scaling:
         self.lay, self.units, wides, full = lay, {}, [], []
         self.lam, self.ginv = np.empty(lay.n), np.zeros((lay.n, lay.n))
         for b, ((rows, lower), k, off) in enumerate(zip(lay.gathers, lay.sizes, lay.offsets)):
-            one = np.count_nonzero(a[:, rows], axis=1) == 1 if k >= _UNIT_SIDE else None
-            dense = slice(None) if one is None or not one.any() else np.flatnonzero(~one)
+            single = np.count_nonzero(a[::-1, rows], axis=1) == 1 if k >= _UNIT_SIDE else [False]
+            split = p - int(np.logical_and.accumulate(single).sum())
             # Unpacked first, while the buffers below do not yet add to its peak.
-            wides.append(smat(a[dense, rows], k).transpose(1, 0, 2).reshape(k, -1))
-            if isinstance(dense, slice):
+            wides.append(smat(a[:split, rows], k).transpose(1, 0, 2).reshape(k, -1))
+            if split == p:
                 full.append(np.arange(rows.start, rows.stop))
                 continue
-            unit = np.flatnonzero(one)
-            e = (a[unit, rows] != 0).argmax(axis=1)
+            e = (a[split:, rows] != 0).argmax(axis=1)
             ia, ib = (index[e] for index in svec_indices(k)[:2])
-            alpha, c = a[unit, rows.start + e], np.zeros(p)
-            c[unit] = alpha * np.where(ia == ib, 0.5**0.5, 1.0)
-            self.units[b] = (dense, unit, e, alpha, ia, ib, c, np.zeros((2, k, p)), a[dense, rows],
-                             rows, lower, self.ginv[off:off + k, off:off + k],
-                             np.empty((rows.stop - rows.start, dense.size)))
-        full = np.concatenate(full) if full else np.arange(0)
-        self.full, self.svecs = _run(full), np.empty((full.size, p))
+            alpha = a[np.arange(split, p), rows.start + e]
+            c = alpha * np.where(ia == ib, 0.5**0.5, 1.0)
+            self.units[b] = (split, e, alpha, ia, ib, c, np.empty((2, k, p - split)),
+                             np.ascontiguousarray(a[:split, rows]), rows, lower,
+                             self.ginv[off:off + k, off:off + k], np.empty((svec_dim(k), split)))
+        self.full = np.concatenate(full) if full else np.arange(0)
+        self.svecs = np.empty((self.full.size, p))
         self.schur, self.chol = np.empty((p, p)), np.empty((p, p), order="F")
         # Buffers for the chunks' products and gathers, and for the unit rows' Schur rows.
         need = [k * min(w.shape[1], k * max(1, _CHUNK // k**2)) for w, k in zip(wides, lay.sizes)]
@@ -253,9 +254,9 @@ class _Scaling:
             self.lam[sub] = np.sqrt(evals)
             self.ginv[sub, sub] = ginv
             if b in self.units:
-                _, unit, _, _, ia, ib, _, (ta, tb), *_ = self.units[b]
+                _, _, _, ia, ib, _, (ta, tb), *_ = self.units[b]
                 g = ginv.T @ ginv  # V, exactly symmetric: numpy runs it as SYRK
-                ta[:, unit], tb[:, unit] = g[:, ia], g[:, ib]
+                ta[...], tb[...] = g[:, ia], g[:, ib]
             # A chunk's congruences in two products: g [F_i0 ...] as rows (a, i),
             # then g times its transpose gives t[c, a, i] = (g F_i g^T)[a, c], so
             # each svec entry is one row of t.  Gathered while t is still in cache.
@@ -274,23 +275,25 @@ class _Scaling:
         # Unit rows add whole rows of schur, in chunks: alpha svec(V F_j V)[e] at dense
         # columns, and K(V) at unit ones from the tables ta = V[:, a'], tb = V[:, b'].
         # Symmetric to rounding, exactly when every alpha is +-1.
-        for dense, unit, e, alpha, ia, ib, c, (ta, tb), a_dense, rows, *_, cross in (
+        for split, e, alpha, ia, ib, c, (ta, tb), a_dense, rows, *_, cross in (
                 self.units.values()):
             cross *= lay.w[rows, None]
             dd = a_dense @ cross
-            schur[np.ix_(dense, dense)] += 0.5 * (dd + dd.T)
+            schur[:split, :split] += 0.5 * (dd + dd.T)
             step = max(1, self.work.shape[1] // c.size)
-            for r in (slice(r0, r0 + step) for r0 in range(0, unit.size, step)):
-                ku, x, y = (w[:unit[r].size * c.size].reshape(-1, c.size) for w in self.work)
+            for r in (slice(r0, r0 + step) for r0 in range(0, c.size, step)):
+                ku, x, y = (w[:alpha[r].size * c.size].reshape(-1, c.size) for w in self.work)
                 np.take(ta, ia[r], axis=0, out=ku, mode="clip")
                 ku *= np.take(tb, ib[r], axis=0, out=x, mode="clip")
                 np.take(ta, ib[r], axis=0, out=x, mode="clip")
                 ku += np.multiply(x, np.take(tb, ia[r], axis=0, out=y, mode="clip"), out=x)
                 ku *= c
-                ku *= c[unit[r], None]
-                ku[:, dense] = alpha[r, None] * cross[e[r]]
-                schur[_run(unit[r])] += ku
-                schur[np.ix_(dense, unit[r])] += ku[:, dense].T
+                ku *= c[r, None]
+                at = slice(split + r.start, split + r.stop)
+                schur[at, split:] += ku
+                kd = alpha[r, None] * cross[e[r]]
+                schur[at, :split] += kd
+                schur[:split, at] += kd.T
         _robust_cholesky(schur, self.chol)
 
     def apply(self, dy: np.ndarray) -> np.ndarray:
@@ -299,27 +302,20 @@ class _Scaling:
         if self.units:
             out, full = np.empty(self.lay.w.size), out
             out[self.full] = full
-        for dense, unit, e, alpha, *_, a_dense, rows, lower, g, _ in self.units.values():
+        for split, e, alpha, *_, a_dense, rows, lower, g, _ in self.units.values():
             # Unit rows that share an entry add up in bincount.
-            f = smat(dy[dense] @ a_dense + np.bincount(e, alpha * dy[unit], a_dense.shape[1]))
+            f = smat(dy[:split] @ a_dense + np.bincount(e, alpha * dy[split:], a_dense.shape[1]))
             out[rows] = np.take(g @ f @ g.T, lower) * self.lay.w[rows]
         return out
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """<G^-1 F_i G^-T, smat(v)> for every variable i: the adjoint of :meth:`apply`."""
         out = self.svecs.T @ v[self.full]
-        for dense, unit, e, alpha, *_, a_dense, rows, lower, g, _ in self.units.values():
+        for split, e, alpha, *_, a_dense, rows, lower, g, _ in self.units.values():
             m = np.take(g.T @ smat(v[rows]) @ g, lower) * self.lay.w[rows]
-            out[dense] += a_dense @ m
-            out[unit] += alpha * m[e]
+            out[:split] += a_dense @ m
+            out[split:] += alpha * m[e]
         return out
-
-
-def _run(index: np.ndarray) -> slice | np.ndarray:
-    """A sorted index array as the slice it spans, when it has no gaps."""
-    if index.size and index[-1] - index[0] == index.size - 1:
-        return slice(index[0], index[-1] + 1)
-    return index
 
 
 def _residuals(lay, prog, y, s, z, f_scale, c_scale):

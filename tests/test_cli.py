@@ -281,6 +281,16 @@ def test_nonfinite_inputs_exit_one(tmp_path, capsys):
         assert f"error: {out}: operator matrices must be finite" in capsys.readouterr().err
 
 
+def test_tiny_pair_exits_one(tmp_path, capsys):
+    # a pair near 1e-110 builds its program at unit scale, but the multiplier
+    # maps back by scale^3, past the float range: one error line, no traceback
+    x, z = tmp_path / "x.txt", tmp_path / "z.txt"
+    np.savetxt(x, np.array([0.6e-110, 0.8e-110]))
+    np.savetxt(z, np.array([1e-110, 0.0]))
+    assert cli.main(["delta", "--x", str(x), "--z", str(z)]) == 1
+    assert capsys.readouterr().err == "error: the pair's scale leaves the solve's float range\n"
+
+
 def test_matrix_ground_truth_exits_one(tmp_path, capsys):
     # a 2 x 2 file is not a ground-truth vector, and is not flattened into one
     z = tmp_path / "z.txt"

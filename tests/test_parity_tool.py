@@ -14,7 +14,7 @@ _spec.loader.exec_module(parity)
 def pair(delta=0.75, status="optimal", gap=1e-10):
     # one pair's record, with the fields ``record`` writes
     return {"c": "c0", "a": "a0", "f0": "f00", "status": status, "delta": float.hex(delta),
-            "gap": gap, "iterations": 9, "dual_y": "y0", "max_violation": 1e-12}
+            "gap": gap, "iterations": 9, "dual_y": "y0", "h": "h0", "max_violation": 1e-12}
 
 
 def pairs():
@@ -88,3 +88,21 @@ def test_largest_violation_per_set(tmp_path, capsys):
     assert "sweep: 2 programs" in out and ", largest violation 4e-10 -> 2.5e-09; optimal" in out
     assert ", largest violation 1e-12 -> 1e-12; infeasible" in out
     assert ", largest violation 1e-12 -> 3e-13; optimal 1 -> 1\n" in out
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_field_in_one_record_only_differs(tmp_path, capsys, side):
+    # records written by two versions of the tool: a field that only one
+    # record of a pair holds is a difference, named in the pair's line and in
+    # the summary, whichever record lacks it; it fails nothing
+    full, short = pairs(), pairs()
+    for record in short.values():
+        del record["h"]
+    before, after = (short, full) if side == "after" else (full, short)
+    code, out = compare(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "4 programs: 0 identical, 4 differ (0 of them in status or delta)" in out
+    change = "h absent -> h0" if side == "after" else "h h0 -> absent"
+    assert ("rank3 0/0: differs: status optimal -> optimal, delta 0.9 -> 0.9 (bound 1e-09); "
+            f"{change}\n") in out
+    assert "h: differs in 4 pairs (4 of them in one record only)\n" in out

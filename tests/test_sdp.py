@@ -425,18 +425,20 @@ def reference_map(prog, sc):
 
 
 def planted_program(seed, sizes=(1, 3, 17, 21)):
-    # random blocks in which half the rows, not contiguous, have one entry:
-    # +-1 or another value, several of them at one svec position; blocks of
-    # side 1 and on both sides of sdp._UNIT_SIDE
+    # random blocks in which half the rows, the trailing run that a unit row
+    # must lie in, have one entry: +-1 or another value, four of them, drawn
+    # per block, at one svec position; blocks of side 1 and on both sides of
+    # sdp._UNIT_SIDE
     rng = default_rng(seed)
     p = 30
     rows = []
     for k in sizes:
         a = rng.standard_normal((p, svec_dim(k)))
-        unit = rng.permutation(p)[: p // 2]
+        unit = np.arange(p - p // 2, p)
         a[unit] = 0.0
         pos = rng.integers(0, svec_dim(k), unit.size)
-        pos[:3] = pos[3]
+        share = rng.permutation(unit.size)[:4]
+        pos[share] = pos[share[0]]
         a[unit, pos] = rng.choice([1.0, -1.0, 0.3, -2.5], unit.size)
         rows.append(a)
     f0 = np.concatenate([svec(5.0 * np.eye(k)) for k in sizes])
@@ -487,21 +489,48 @@ def test_unit_rows_match_per_coefficient_congruence(monkeypatch, unit_side):
     rng = default_rng(23)
     for seed in range(6):
         prog = planted_program(seed)
-        lay, _, rd, sc = random_iterates(rng, prog)
+        sc = assert_matches_reference(rng, prog, seed)
         assert sorted(sc.units) == [b for b, k in enumerate(prog.block_sizes) if k >= unit_side]
-        ref = reference_map(prog, sc)
-        schur = ref.T @ ref
-        assert np.linalg.norm(sc.schur - schur) <= 1e-13 * np.linalg.norm(schur), seed
-        dy, v = rng.standard_normal(prog.num_vars), rng.standard_normal(lay.w.size)
-        for got, want in ((sc.apply(dy), ref @ dy), (sc.adjoint(v), ref.T @ v)):
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), seed
-        rc = np.concatenate([svec(random_sym(rng, k)) for k in lay.sizes])
-        dy, ds, dz = sdp._direction(sc, rd, rc)
-        x = sc.lyap * rc
-        want = np.linalg.solve(schur, ref.T @ (x - sc.rp_hat) - rd)
-        assert np.linalg.norm(dy - want) <= 1e-11 * np.linalg.norm(want), seed
-        assert np.linalg.norm(ds - ref @ dy - sc.rp_hat) <= 1e-13 * np.linalg.norm(ds), seed
-        assert np.array_equal(dz, x - ds)
+
+
+def test_single_entry_rows_before_a_dense_row_are_dense():
+    # in a block of side >= sdp._UNIT_SIDE, the unit rows are the trailing run
+    # of single-entry rows only: with three planted unit rows moved to the
+    # front, the side-17 block takes the rest of its run by formula, and with
+    # a dense last row the side-21 block takes every row by congruence; the
+    # result still matches the reference
+    rng = default_rng(25)
+    for seed in range(3):
+        prog = planted_program(seed)
+        p, run = prog.num_vars, prog.num_vars // 2
+        order = np.r_[p - 3:p, :p - 3]
+        a = prog.a[order]
+        wide = sdp._layout(prog.block_sizes).gathers[3][0]
+        a[-1, wide] = rng.standard_normal(wide.stop - wide.start)
+        prog = ConeProgram(prog.c[order], prog.f0, a, prog.block_sizes)
+        sc = assert_matches_reference(rng, prog, seed)
+        assert sorted(sc.units) == [2] and sc.units[2][0] == p - (run - 3), seed
+
+
+def assert_matches_reference(rng, prog, label):
+    # at random iterates, the Schur matrix, the map dy -> svec(G^-1 F(dy) G^-T)
+    # and its adjoint match the per-coefficient congruences to 1e-13, and the
+    # Newton direction solves the reference system; returns the scaling
+    lay, _, rd, sc = random_iterates(rng, prog)
+    ref = reference_map(prog, sc)
+    schur = ref.T @ ref
+    assert np.linalg.norm(sc.schur - schur) <= 1e-13 * np.linalg.norm(schur), label
+    dy, v = rng.standard_normal(prog.num_vars), rng.standard_normal(lay.w.size)
+    for got, want in ((sc.apply(dy), ref @ dy), (sc.adjoint(v), ref.T @ v)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
+    rc = np.concatenate([svec(random_sym(rng, k)) for k in lay.sizes])
+    dy, ds, dz = sdp._direction(sc, rd, rc)
+    x = sc.lyap * rc
+    want = np.linalg.solve(schur, ref.T @ (x - sc.rp_hat) - rd)
+    assert np.linalg.norm(dy - want) <= 1e-11 * np.linalg.norm(want), label
+    assert np.linalg.norm(ds - ref @ dy - sc.rp_hat) <= 1e-13 * np.linalg.norm(ds), label
+    assert np.array_equal(dz, x - ds)
+    return sc
 
 
 def test_unit_rows_solve_as_congruences(monkeypatch):
@@ -577,7 +606,7 @@ def test_chunk_boundaries_do_not_move_the_solve(monkeypatch):
         for b, (chunks, k) in enumerate(zip(sc.chunks, prog.block_sizes)):
             widths = [out.shape[1] for *_, out in chunks]
             assert len(chunks) > 1 and widths[-1] < widths[0] == 2000 // (k * k), widths
-            units = sc.units[b][1].size if b in sc.units else 0
+            units = prog.num_vars - sc.units[b][0] if b in sc.units else 0
             assert sum(widths) + units == prog.num_vars
         res = solve(prog)
         assert res.status == ref.status == OPTIMAL and res.iterations == ref.iterations

@@ -12,11 +12,14 @@ that one) and writes, per pair, the sha256 of the cone program's ``c``,
 ``a`` and ``f0``, the status, delta as ``float.hex``, the final gap (the
 last iterate's complementarity ``<S, Z>``, ``SdpSolution.gap``, not the
 certificate's ``CertificateReport.gap``), the iterations, the sha256 of the
-multiplier ``dual.y`` and the largest certificate violation.  It takes
-about 13 s at one BLAS thread on a 2-CPU x86-64 machine.
+multiplier ``dual.y`` and of the gram matrix ``h`` (H', which
+``lmi.recover_minimizer`` reads), and the largest certificate violation.
+It takes about 13 s at one BLAS thread on a 2-CPU x86-64 machine.
 
 ``compare`` prints every pair whose records differ and a summary, closed by
-one line per record field that differs: in how many pairs, and for
+one line per record field that differs: in how many pairs, of them how many
+hold the field in one record only (a record written by another version of
+this tool), and for
 ``max_violation`` how many of them rose and how many fell, and the largest
 after/before ratio, with its pair.  Then, per parity set (sweep, the (4,1)
 and (5,2) ecdf samples, rank 3), the total iterations, the median
@@ -46,6 +49,8 @@ from ripsharp import cli, closedform, lmi
 from ripsharp.errors import NotSpuriousError
 
 DELTA_TOL = 1e-9
+# How compare prints a field that one record of a pair lacks.
+_ABSENT = "absent"
 
 
 def parity_pairs():
@@ -90,6 +95,7 @@ def record_pair(x: np.ndarray, z: np.ndarray) -> dict:
         "gap": sol.gap,
         "iterations": sol.iterations,
         "dual_y": _sha(sol.dual.y),
+        "h": _sha(sol.h),
         "max_violation": lmi.verify_certificates(sol, pair).max_violation(),
     }
 
@@ -118,7 +124,7 @@ def compare(before_path: str, after_path: str) -> int:
     old, new = before["pairs"], after["pairs"]
     names = sorted(old.keys() | new.keys())
     missing = differ = failed = 0
-    fields, rose, ratio = Counter(), 0, (0.0, "")
+    fields, one_sided, rose, ratio = Counter(), Counter(), 0, (0.0, "")
     for name in names:
         if name not in old or name not in new:
             print(f"{name}: only in {before_path if name in old else after_path}")
@@ -128,7 +134,10 @@ def compare(before_path: str, after_path: str) -> int:
         if a == b:
             continue
         differ += 1
-        fields.update(k for k in a if a[k] != b[k])
+        union = list(a) + [k for k in b if k not in a]
+        changed = [k for k in union if a.get(k, _ABSENT) != b.get(k, _ABSENT)]
+        fields.update(changed)
+        one_sided.update(k for k in changed if (k in a) != (k in b))
         v_a, v_b = a["max_violation"], b["max_violation"]
         rose += v_b > v_a
         if v_a != v_b:
@@ -137,8 +146,8 @@ def compare(before_path: str, after_path: str) -> int:
         bound = max(DELTA_TOL, a["gap"])
         bad = a["status"] != b["status"] or abs(d_b - d_a) > bound
         failed += bad
-        others = ", ".join(f"{k} {a[k]} -> {b[k]}" for k in a
-                           if k not in ("status", "delta") and a[k] != b[k])
+        others = ", ".join(f"{k} {a.get(k, _ABSENT)} -> {b.get(k, _ABSENT)}" for k in changed
+                           if k not in ("status", "delta"))
         print(f"{name}: {'FAIL' if bad else 'differs'}: status {a['status']} -> {b['status']}, "
               f"delta {d_a!r} -> {d_b!r} (bound {bound:.3g}); {others}")
     print(f"{len(names)} programs: {len(names) - missing - differ} identical, {differ} differ "
@@ -146,6 +155,8 @@ def compare(before_path: str, after_path: str) -> int:
     for field, count in fields.items():
         moved = (f" ({rose} rose, {count - rose} fell; largest after/before ratio "
                  f"{ratio[0]:.3g}, {ratio[1]})" if field == "max_violation" else "")
+        if one_sided[field]:
+            moved += f" ({one_sided[field]} of them in one record only)"
         print(f"{field}: differs in {count} pairs{moved}")
     sets = {}
     for name in names:
